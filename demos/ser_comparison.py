@@ -44,4 +44,5 @@ for snr_db in (-2.0, 2.0, 6.0, 10.0):
         f"[{pilot.ci95_low:.4f},{pilot.ci95_high:.4f}]"
     )
 
-print("\nSame seed for every scheme, so each column sees the same channel draws.")
+print("\nSame seed for every scheme, so each column shares the message indices and"
+      "\nbase Bartlett draws of each substream (common random numbers).")

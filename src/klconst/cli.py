@@ -13,7 +13,8 @@ ser-sweep
     Monte-Carlo SER for the designed multi-level constellation, the
     1-level unitary design, and the pilot-based QAM baseline over an SNR
     grid, one CSV row per scheme per SNR.  All schemes share the seed, so
-    they see common random channels.
+    they share the message indices and base Bartlett draws of each
+    substream (common random numbers).
 kl-check
     Draw random point pairs and compare the closed-form KL distance with
     its Monte-Carlo estimate, one CSV row per pair per SNR.
@@ -23,7 +24,8 @@ pack-unitary
 Config files are flat `key = value` text; `#` lines are comments.  Lists
 are comma-separated (snr_db_list = 0, 5, 10).  Direction codebooks are
 built in-process by default; unitary_library_<l_v> keys point individual
-sizes at codebook files instead.
+sizes at codebook files instead.  Only the sizes a run uses and no file
+supplies are packed.
 
 Exit codes: 0 success, 2 config problem, 3 numeric failure.  Identical
 config and seed give byte-identical output files.
@@ -49,6 +51,7 @@ from .core import (
 )
 from .linksim import (
     RESULT_CSV_HEADER,
+    _stream,
     estimate_ser,
     kl_mc_estimate,
     pilot_qam_run,
@@ -57,7 +60,7 @@ from .linksim import (
 from .multilevel import ALLOCATION_CSV_HEADER, allocate_bits
 from .unitary import (
     PackingConfig,
-    default_library,
+    library_codebook,
     load_unitary,
     min_sq_chordal,
     optimize_unitary,
@@ -284,8 +287,13 @@ def _write_text(path, text):
     p.write_text(text)
 
 
-def _build_library(cfg):
-    lib = default_library(cfg.K, cfg.l_s, seed=cfg.seed)
+def _build_library(cfg, sizes):
+    """Direction codebooks for the direction-bit counts in sizes.
+
+    Every unitary_library_<l_v> file is validated first; sizes that no file
+    supplies are then packed exactly as default_library would pack them.
+    """
+    lib = {}
     for l_v, path in cfg.unitary_library_paths.items():
         if l_v > cfg.l_s:
             raise ConfigError(
@@ -306,6 +314,9 @@ def _build_library(cfg):
                 f"vectors, expected {2 ** l_v}"
             )
         lib[l_v] = uset
+    for l_v in sizes:
+        if l_v not in lib:
+            lib[l_v] = library_codebook(cfg.K, l_v, seed=cfg.seed)
     return lib
 
 
@@ -319,7 +330,7 @@ def _one_level(directions, sigma2):
 
 
 def run_design(cfg):
-    lib = _build_library(cfg)
+    lib = _build_library(cfg, range(cfg.l_s + 1))
     out = Path(cfg.output_path)
     stem = out.with_suffix("")
     lines = [DESIGN_CSV_HEADER]
@@ -339,13 +350,19 @@ def run_design(cfg):
 
 
 def run_ser_sweep(cfg):
-    lib = _build_library(cfg)
     pilot = None
     if "pilot-qam" in cfg.schemes:
         try:
             pilot = pilot_qam_scheme(cfg.K, cfg.l_s)
         except ValueError as exc:
             raise ConfigError(f"fields 'K'/'l_s': {exc}") from exc
+    if "multilevel" in cfg.schemes:
+        sizes = range(cfg.l_s + 1)
+    elif "unitary" in cfg.schemes:
+        sizes = [cfg.l_s]
+    else:
+        sizes = []
+    lib = _build_library(cfg, sizes)
     lines = [RESULT_CSV_HEADER]
     for snr_db in cfg.snr_db_list:
         sigma2 = _sigma2_at(cfg.K, snr_db)
@@ -373,9 +390,7 @@ def run_ser_sweep(cfg):
 
 
 def run_kl_check(cfg):
-    pair_rng = np.random.Generator(
-        np.random.Philox(key=np.array([cfg.seed, 1 << 63], dtype=np.uint64))
-    )
+    pair_rng = _stream(cfg.seed, 1 << 63)
     lines = [KL_CSV_HEADER]
     for snr_db in cfg.snr_db_list:
         sigma2 = _sigma2_at(cfg.K, snr_db)
@@ -410,6 +425,7 @@ def run_pack_unitary(cfg):
     if cfg.smoothing is not None:
         kwargs["smoothing"] = cfg.smoothing
     uset = optimize_unitary(PackingConfig(**kwargs))
+    Path(cfg.output_path).parent.mkdir(parents=True, exist_ok=True)
     save_unitary(uset, cfg.output_path)
     print(
         f"packed {uset.size} directions in K={uset.K}: "

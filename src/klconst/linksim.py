@@ -1,9 +1,37 @@
 """Monte-Carlo link simulation: SER estimation and KL validation.
 
+Every estimator here sees a received block only through its K x K Gram
+matrix G = Y^H Y.  Given the sent point s, the M rows of Y are i.i.d.
+CN(0, s s^H + sigma2 I), so G is complex Wishart with M degrees of freedom
+and E[G] = M (s^* s^T + sigma2 I) (Goodman 1963).  The estimators draw G
+straight from that law by the Bartlett decomposition, at O(K^2) cost per
+trial whatever M is, and never form Y:
+
+    R    r x K upper-trapezoidal, r = min(M, K), |R_ii|^2 ~ Gamma(M - i, 1),
+         CN(0, 1) entries above the diagonal, zeros below,
+    B^T  = sigma I + c s^* s^T,  c = 1 / (sqrt(sigma2 + E) + sigma),
+    A    = R B^T,   G = A^H A.
+
+B^T is the Hermitian square root of s^* s^T + sigma2 I (E = ||s||^2; c
+equals (sqrt(sigma2 + E) - sigma) / E, written so that E = 0 needs no
+special case and gives B^T = sigma I), and
+R^H R has the law of Z^H Z for an M x K matrix Z of i.i.d. CN(0, 1)
+entries, so A^H A has the law of G.  simulate_block still draws a whole
+block Y for demos and tests.
+
 All estimators draw from counter-based Philox substreams keyed by
 (seed, substream index), with trials partitioned into fixed substreams of
 2048 regardless of how the work is scheduled, so a given seed produces the
 same counts no matter how many workers run the batches or in what order.
+Within a substream the draw order is: the message indices of every trial
+(none for the KL estimator); then the gamma diagonal entries, trial by
+trial and i = 0..r-1 within a trial; then the real parts of the entries
+above the diagonal, trial by trial and row by row within a trial, and
+their imaginary parts in the same order.  Schemes run on one seed share the
+message indices and base Bartlett draws of each substream (common random
+numbers), as far as their message sets have the same size and they send the
+same number of indices per trial; every message set here has a power-of-two
+size, for which the index draw uses a fixed share of the stream.
 
 Error counts get Wilson 95% intervals rather than the normal
 approximation, which stays honest when only a handful of block errors
@@ -25,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ChannelParams, MultiLevelConstellation, SignalPoint, _check_sigma2
-from .detection import detect_two_stage
+from .detection import detect_two_stage_gram, gram
 
 __all__ = [
     "SerEstimate",
@@ -201,12 +229,32 @@ def _ser_from_counts(errors, trials, seed):
 # ---------------------------------------------------------------------------
 
 
-def _draw_channel(rng, batch, M, K, sigma2):
-    # One fading vector per block, then the noise; the draw order is part
-    # of the reproducibility contract.
-    h = _complex_normal(rng, (batch, M))
-    noise = _complex_normal(rng, (batch, M, K), scale=math.sqrt(sigma2))
-    return h, noise
+def _bartlett(rng, n, M, K):
+    """n Bartlett factors R, shape (n, min(M, K), K), with R^H R ~ W_K(M, I).
+
+    Draws in the order the module docstring gives: every gamma diagonal
+    entry first, then the normals above the diagonal.
+    """
+    r = min(M, K)
+    R = np.zeros((n, r, K), dtype=np.complex128)
+    diag = np.arange(r)
+    R[:, diag, diag] = np.sqrt(rng.standard_gamma(M - diag, size=(n, r)))
+    rows, cols = np.triu_indices(r, 1, K)
+    R[:, rows, cols] = _complex_normal(rng, (n, rows.size))
+    return R
+
+
+def _gram_root(rng, S, n, M, sigma2):
+    """n factors A with A^H A distributed as the Gram matrix of a received
+    block, for sent blocks S of shape (n, K), or (K,) for one point in all.
+
+    A = R B^T with B^T = sigma I + c s^* s^T (see the module docstring).
+    """
+    R = _bartlett(rng, n, M, S.shape[-1])
+    sigma = math.sqrt(sigma2)
+    c = 1.0 / (np.sqrt(sigma2 + np.sum(np.abs(S) ** 2, axis=-1)) + sigma)
+    u = np.einsum("...rk,...k->...r", R, S.conj())
+    return sigma * R + (c[..., None] * u)[..., None] * S[..., None, :]
 
 
 def simulate_block(s, params, rng):
@@ -232,17 +280,20 @@ def simulate_block(s, params, rng):
         raise ValueError(
             f"point block length {s.K} does not match params.K = {params.K}"
         )
-    h, noise = _draw_channel(rng, 1, params.M, params.K, params.sigma2)
-    return h[0][:, None] * s.vector()[None, :] + noise[0]
+    h = _complex_normal(rng, params.M)
+    noise = _complex_normal(rng, (params.M, params.K), scale=math.sqrt(params.sigma2))
+    return h[:, None] * s.vector()[None, :] + noise
 
 
 def estimate_ser(c, params, trials, seed):
     """Monte-Carlo block error rate of a constellation under two-stage ML.
 
-    Per trial: a uniform message index, one fading block, detection with
-    detect_two_stage at the operating noise level, error counted on index
-    mismatch.  Identical seeds give identical results regardless of how
-    the substreams are scheduled.
+    Per trial: a uniform message index, then the Gram matrix G of one
+    received block drawn from its complex Wishart law (see the module
+    docstring for the sampler and the draw order), detection with
+    detect_two_stage_gram at the operating noise level, error counted on
+    index mismatch.  Identical seeds give identical results regardless of
+    how the substreams are scheduled.
     """
     if not isinstance(c, MultiLevelConstellation):
         raise TypeError("c must be a MultiLevelConstellation")
@@ -258,9 +309,8 @@ def estimate_ser(c, params, trials, seed):
     for b, n in _substreams(trials):
         rng = _stream(seed, b)
         sent = rng.integers(0, c.size, size=n)
-        h, noise = _draw_channel(rng, n, params.M, params.K, params.sigma2)
-        Y = h[:, :, None] * vectors[sent][:, None, :] + noise
-        detected = detect_two_stage(Y, c, params.sigma2)
+        G = gram(_gram_root(rng, vectors[sent], n, params.M, params.sigma2))
+        detected = detect_two_stage_gram(G, c, params.sigma2, params.M)
         errors += int(np.count_nonzero(detected != sent))
     return _ser_from_counts(errors, trials, seed)
 
@@ -268,13 +318,16 @@ def estimate_ser(c, params, trials, seed):
 def kl_mc_estimate(s_i, s_k, params, samples, seed):
     """Monte-Carlo estimate of the per-antenna KL distance D(s_i || s_k).
 
-    Draws Y under s_i and averages (1/M) ln[f(Y|s_i)/f(Y|s_k)], with the
-    log-ratio computed analytically from the quadratic forms
+    Averages (1/M) ln[f(Y|s_i)/f(Y|s_k)] over blocks Y sent as s_i, with
+    the log-ratio computed analytically from the quadratic forms
 
-        q(s) = ||Y s^*||^2,    ln f = q/(sigma2 (sigma2+E)) - M ln(sigma2+E)
+        q(s) = s^T G s^* = ||A s^*||^2,    ln f = q/(sigma2 (sigma2+E)) - M ln(sigma2+E)
 
     (plus point-independent terms that cancel), so no density is ever
-    exponentiated.  The expectation of the average is kl_full(s_i, s_k).
+    exponentiated.  Only the Bartlett factor A of G = A^H A is drawn, with
+    the gamma diagonal first and the off-diagonal normals second (see the
+    module docstring); Y is never formed.  The expectation of the average
+    is kl_full(s_i, s_k).
 
     Returns
     -------
@@ -300,10 +353,9 @@ def kl_mc_estimate(s_i, s_k, params, samples, seed):
     total_sq = 0.0
     for b, n in _substreams(samples):
         rng = _stream(seed, b)
-        h, noise = _draw_channel(rng, n, params.M, params.K, sigma2)
-        Y = h[:, :, None] * x_i[None, None, :] + noise
-        q_i = np.sum(np.abs(Y @ x_i.conj()) ** 2, axis=-1)
-        q_k = np.sum(np.abs(Y @ x_k.conj()) ** 2, axis=-1)
+        A = _gram_root(rng, x_i, n, params.M, sigma2)
+        q_i = np.sum(np.abs(A @ x_i.conj()) ** 2, axis=-1)
+        q_k = np.sum(np.abs(A @ x_k.conj()) ** 2, axis=-1)
         ratio = (q_i * c_i - q_k * c_k) / params.M - log_det_ratio
         total += float(np.sum(ratio))
         total_sq += float(np.sum(ratio * ratio))
@@ -370,7 +422,10 @@ def pilot_qam_run(scheme, params, trials, seed):
     Per trial: slot 0 carries the pilot, the receiver forms h_hat =
     y_0 / pilot_amplitude, combines each data slot as
     z_j = h_hat^H y_j / ||h_hat||^2, and slices z_j to the nearest scaled
-    alphabet point; any wrong symbol makes the block an error.
+    alphabet point; any wrong symbol makes the block an error.  The
+    combiner equals z_j = pilot_amplitude G[0, j] / G[0, 0], so each trial
+    draws its data symbol indices and then the Gram matrix G of its block
+    from the complex Wishart law, in the order the module docstring gives.
     """
     if not isinstance(scheme, PilotQamScheme):
         raise TypeError("scheme must be a PilotQamScheme")
@@ -390,11 +445,8 @@ def pilot_qam_run(scheme, params, trials, seed):
         blocks = np.empty((n, scheme.K), dtype=np.complex128)
         blocks[:, 0] = scheme.pilot_amplitude
         blocks[:, 1:] = points[sent]
-        h, noise = _draw_channel(rng, n, params.M, params.K, params.sigma2)
-        Y = h[:, :, None] * blocks[:, None, :] + noise
-        h_hat = Y[:, :, 0] / scheme.pilot_amplitude
-        gain = np.sum(np.abs(h_hat) ** 2, axis=-1)
-        z = np.einsum("bm,bmj->bj", h_hat.conj(), Y[:, :, 1:]) / gain[:, None]
+        G = gram(_gram_root(rng, blocks, n, params.M, params.sigma2))
+        z = scheme.pilot_amplitude * G[:, 0, 1:] / G[:, 0, :1].real
         decided = np.argmin(
             np.abs(z[:, :, None] - points[None, None, :]) ** 2, axis=-1
         )

@@ -29,6 +29,7 @@ from .core import (
     parse_vector_line,
     read_content_lines,
 )
+from .linksim import _stream
 
 __all__ = [
     "PackingConfig",
@@ -37,6 +38,7 @@ __all__ = [
     "optimize_unitary",
     "save_unitary",
     "load_unitary",
+    "library_codebook",
     "default_library",
 ]
 
@@ -133,11 +135,6 @@ def welch_limit(K, N):
     return 1.0 - (N - K) / (K * (N - 1))
 
 
-def _restart_stream(seed, restart):
-    key = np.array([seed, restart], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def _climb(V, iterations, smoothing):
     """Sharpened soft-min ascent on the pairwise squared chordal distances.
 
@@ -178,7 +175,7 @@ def optimize_unitary(cfg):
     best_v = None
     best_t = -1.0
     for restart in range(cfg.restarts):
-        rng = _restart_stream(cfg.seed, restart)
+        rng = _stream(cfg.seed, restart)
         V = rng.standard_normal((cfg.cardinality, cfg.K)) + 1j * rng.standard_normal(
             (cfg.cardinality, cfg.K)
         )
@@ -239,27 +236,34 @@ def load_unitary(path):
         raise FileFormatError(f"{path}: {exc}") from None
 
 
+def library_codebook(K, l_v, seed=0, restarts=DEFAULT_RESTARTS,
+                     iterations=DEFAULT_ITERATIONS):
+    """The library's codebook of 2^l_v directions in C^K.
+
+    l_v = 0 gives the canonical single vector; larger sizes come from
+    :func:`optimize_unitary` with a per-size seed derived from the given
+    one (splitmix increment), so each size is reproducible on its own and
+    equals the matching entry of :func:`default_library`.
+    """
+    if l_v == 0:
+        return UnitarySet(canonical_direction(K)[None, :])
+    cfg = PackingConfig(
+        K=K,
+        cardinality=2**l_v,
+        restarts=restarts,
+        iterations=iterations,
+        seed=(seed + l_v * 0x9E3779B97F4A7C15) % 2**64,
+    )
+    return optimize_unitary(cfg)
+
+
 def default_library(K, l_s, seed=0, restarts=DEFAULT_RESTARTS,
                     iterations=DEFAULT_ITERATIONS):
-    """Packed direction sets for every direction-bit count 0..l_s.
-
-    The l_v = 0 entry is the canonical single vector; larger entries come
-    from :func:`optimize_unitary` with a per-size seed derived from the
-    given one (splitmix increment), so the whole library is reproducible.
-    """
+    """Packed direction sets for every direction-bit count 0..l_s, each
+    from :func:`library_codebook`, so the whole library is reproducible."""
     if l_s < 0:
         raise ValueError(f"l_s must be >= 0, got {l_s}")
-    library = {}
-    for l_v in range(l_s + 1):
-        if l_v == 0:
-            library[0] = UnitarySet(canonical_direction(K)[None, :])
-            continue
-        cfg = PackingConfig(
-            K=K,
-            cardinality=2**l_v,
-            restarts=restarts,
-            iterations=iterations,
-            seed=(seed + l_v * 0x9E3779B97F4A7C15) % 2**64,
-        )
-        library[l_v] = optimize_unitary(cfg)
-    return library
+    return {
+        l_v: library_codebook(K, l_v, seed, restarts, iterations)
+        for l_v in range(l_s + 1)
+    }

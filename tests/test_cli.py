@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from klconst import load_constellation, load_unitary, welch_limit
-from klconst.cli import ConfigError, main, parse_config
+import klconst.unitary
+from klconst import default_library, load_constellation, load_unitary, welch_limit
+from klconst.cli import ConfigError, _build_library, main, parse_config
 
 
 def write_config(tmp_path, name="run.cfg", **fields):
@@ -115,6 +116,59 @@ class TestDesignMode:
         assert (tmp_path / "out" / "design.csv").read_bytes() == first
 
 
+class TestLazyLibrary:
+    @pytest.fixture()
+    def pack_calls(self, monkeypatch):
+        calls = []
+        real = klconst.unitary.optimize_unitary
+
+        def counting(cfg):
+            calls.append(cfg.cardinality)
+            return real(cfg)
+
+        monkeypatch.setattr(klconst.unitary, "optimize_unitary", counting)
+        return calls
+
+    def test_supplied_sizes_are_not_packed(self, tmp_path, pack_calls):
+        lib = default_library(2, 2, seed=0, restarts=2, iterations=50)
+        books = {}
+        for l_v in (1, 2):
+            books[f"unitary_library_{l_v}"] = tmp_path / f"u{l_v}.txt"
+            klconst.unitary.save_unitary(lib[l_v], books[f"unitary_library_{l_v}"])
+        pack_calls.clear()
+        cfg = write_config(tmp_path, K=2, l_s=2, snr_db_list="0, 10", seed=5,
+                           output_path=tmp_path / "design.csv", **books)
+        assert main(["design", "--config", str(cfg)]) == 0
+        assert pack_calls == []
+
+    def test_pilot_only_sweep_packs_nothing(self, tmp_path, pack_calls):
+        cfg = write_config(tmp_path, K=2, M=4, l_s=2, snr_db_list="0", trials=100,
+                           seed=3, schemes="pilot-qam", output_path=tmp_path / "s.csv")
+        assert main(["ser-sweep", "--config", str(cfg)]) == 0
+        assert pack_calls == []
+
+    def test_packed_sizes_match_the_default_library(self, tmp_path, pack_calls):
+        book = tmp_path / "u1.txt"
+        book.write_text("2 2\n1 0 0 0\n0 0 1 0\n")
+        path = write_config(tmp_path, K=2, l_s=2, snr_db_list="0", seed=7,
+                            output_path="x.csv", unitary_library_1=book)
+        lib = _build_library(parse_config(path, "design"), range(3))
+        assert pack_calls == [4]
+        reference = default_library(2, 2, seed=7)
+        np.testing.assert_array_equal(lib[2].vectors, reference[2].vectors)
+        np.testing.assert_array_equal(lib[0].vectors, reference[0].vectors)
+        np.testing.assert_array_equal(lib[1].vectors, np.eye(2))
+
+    def test_bad_file_is_rejected_before_packing(self, tmp_path, pack_calls):
+        book = tmp_path / "u3.txt"
+        book.write_text("2 1\n1 0 0 0\n")
+        path = write_config(tmp_path, K=2, l_s=2, snr_db_list="0", seed=1,
+                            output_path="x.csv", unitary_library_3=book)
+        with pytest.raises(ConfigError, match="exceeds l_s"):
+            _build_library(parse_config(path, "design"), range(3))
+        assert pack_calls == []
+
+
 class TestSerSweepMode:
     def test_rows_per_scheme_and_snr(self, tmp_path):
         cfg = write_config(
@@ -185,6 +239,15 @@ class TestPackUnitaryMode:
         book = load_unitary(tmp_path / "book.txt")
         assert book.size == 4 and book.K == 2
         assert 0.0 < book.min_sq_dist <= welch_limit(2, 4) + 1e-12
+
+    def test_creates_the_output_directory(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            K=2, l_s=1, seed=0, restarts=1, iterations=20,
+            output_path=tmp_path / "books" / "u1.txt",
+        )
+        assert main(["pack-unitary", "--config", str(cfg)]) == 0
+        assert (tmp_path / "books" / "u1.txt").is_file()
 
     def test_codebook_feeds_back_into_design(self, tmp_path):
         book_cfg = write_config(

@@ -18,6 +18,7 @@ from klconst import (
     gram,
     simulate_block,
 )
+from klconst.detection import detect_joint_gram, detect_two_stage_gram
 
 
 @pytest.fixture(scope="module")
@@ -150,3 +151,12 @@ class TestValidation:
         Y = rng.standard_normal((4, 2)) + 0j
         with pytest.raises(ValueError):
             detect_joint(Y, designed_c2, 0.0)
+
+    def test_gram_level_cores_check_shape_and_block_length(self, designed_c2):
+        G = np.eye(2, dtype=complex)
+        for detect in (detect_joint_gram, detect_two_stage_gram):
+            assert detect(G, designed_c2, 0.3, 4).shape == ()
+            with pytest.raises(ValueError, match="G must have shape"):
+                detect(np.eye(3), designed_c2, 0.3, 4)
+            with pytest.raises(ValueError, match="M must be"):
+                detect(G, designed_c2, 0.3, 0)

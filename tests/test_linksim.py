@@ -15,6 +15,7 @@ from klconst import (
     allocate_bits,
     canonical_direction,
     default_library,
+    detect_two_stage,
     estimate_ser,
     kl_decomposed,
     kl_full,
@@ -25,6 +26,8 @@ from klconst import (
     square_qam_alphabet,
     wilson_interval,
 )
+from klconst.detection import gram
+from klconst.linksim import _gram_root
 
 # frozen with 40-digit arithmetic for z = 1.959963984540054
 WILSON_0_100_HIGH = 0.036993498206985676
@@ -73,6 +76,40 @@ class TestSimulateBlock:
         s = SignalPoint(1.0, canonical_direction(2))
         with pytest.raises(ValueError):
             simulate_block(s, ChannelParams(M=2, K=3, sigma2=0.1), philox(0))
+
+
+class TestGramSampler:
+    @pytest.mark.parametrize("M, K", [(1, 2), (3, 4), (256, 2)])
+    def test_mean_is_m_times_row_covariance(self, M, K):
+        # E[G] = M (s^* s^T + sigma2 I), entrywise within 5 standard errors;
+        # M < K takes the wide-trapezoid Bartlett factor
+        rng = np.random.default_rng(4100 + 10 * M + K)
+        v = rng.standard_normal(K) + 1j * rng.standard_normal(K)
+        s = 1.1 * v / np.linalg.norm(v)
+        sigma2 = 0.3
+        n = 20_000
+        G = gram(_gram_root(philox(M), s, n, M, sigma2))
+        target = M * (np.outer(s.conj(), s) + sigma2 * np.eye(K))
+        for part in (np.real, np.imag):
+            samples = part(G)
+            se = samples.std(axis=0, ddof=1) / math.sqrt(n)
+            gap = np.abs(samples.mean(axis=0) - part(target))
+            assert np.all(gap <= 5 * se + 1e-12 * M)
+
+    def test_y_domain_and_gram_domain_ser_agree(self, designed_c2):
+        # the same detector fed whole simulated blocks and Wishart-drawn
+        # Gram matrices: Wilson 95% intervals must overlap at small M
+        params = ChannelParams(M=8, K=2, sigma2=0.5)
+        trials = 20_000
+        points = [designed_c2.point(i) for i in range(designed_c2.size)]
+        rng = philox(880)
+        sent = rng.integers(0, designed_c2.size, size=trials)
+        Y = np.stack([simulate_block(points[i], params, rng) for i in sent])
+        y_errors = int(np.count_nonzero(detect_two_stage(Y, designed_c2, 0.5) != sent))
+        y_lo, y_hi = wilson_interval(y_errors, trials)
+        g = estimate_ser(designed_c2, params, trials, seed=881)
+        assert 0.02 < g.ser < 0.98
+        assert y_lo <= g.ci95_high and g.ci95_low <= y_hi
 
 
 class TestWilsonInterval:
@@ -154,6 +191,11 @@ class TestKlMcEstimate:
         est = kl_mc_estimate(s, s, params, 5000, seed=0)
         assert est.estimate == 0.0
         assert est.std_error == 0.0
+
+    def test_identical_points_give_exact_zero_when_m_below_k(self):
+        s = SignalPoint(1.2, canonical_direction(4))
+        est = kl_mc_estimate(s, s, ChannelParams(M=2, K=4, sigma2=0.3), 3000, seed=1)
+        assert est.estimate == 0.0
 
     def test_matches_closed_form_within_3_se(self, rng):
         v1 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
