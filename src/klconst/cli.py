@@ -46,6 +46,7 @@ from .core import (
     LevelSet,
     MultiLevelConstellation,
     SignalPoint,
+    _sigma2_at,
     kl_full,
     save_constellation,
 )
@@ -62,7 +63,6 @@ from .unitary import (
     PackingConfig,
     library_codebook,
     load_unitary,
-    min_sq_chordal,
     optimize_unitary,
     save_unitary,
     welch_limit,
@@ -277,10 +277,6 @@ def _g(x):
     return f"{x:.12g}"
 
 
-def _sigma2_at(K, snr_db):
-    return 1.0 / (K * 10.0 ** (snr_db / 10.0))
-
-
 def _write_text(path, text):
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
@@ -365,8 +361,8 @@ def run_ser_sweep(cfg):
     lib = _build_library(cfg, sizes)
     lines = [RESULT_CSV_HEADER]
     for snr_db in cfg.snr_db_list:
-        sigma2 = _sigma2_at(cfg.K, snr_db)
-        params = ChannelParams(M=cfg.M, K=cfg.K, sigma2=sigma2)
+        params = ChannelParams.from_snr_db(cfg.M, cfg.K, snr_db)
+        sigma2 = params.sigma2
         for scheme in cfg.schemes:
             if scheme == "multilevel":
                 outcome = allocate_bits(cfg.l_s, sigma2, lib)
@@ -393,8 +389,8 @@ def run_kl_check(cfg):
     pair_rng = _stream(cfg.seed, 1 << 63)
     lines = [KL_CSV_HEADER]
     for snr_db in cfg.snr_db_list:
-        sigma2 = _sigma2_at(cfg.K, snr_db)
-        params = ChannelParams(M=cfg.M, K=cfg.K, sigma2=sigma2)
+        params = ChannelParams.from_snr_db(cfg.M, cfg.K, snr_db)
+        sigma2 = params.sigma2
         for p in range(cfg.pairs):
             points = []
             for _ in range(2):
@@ -429,7 +425,7 @@ def run_pack_unitary(cfg):
     save_unitary(uset, cfg.output_path)
     print(
         f"packed {uset.size} directions in K={uset.K}: "
-        f"min_sq_dist={_g(min_sq_chordal(uset))}, "
+        f"min_sq_dist={_g(uset.min_sq_dist)}, "
         f"welch_limit={_g(welch_limit(uset.K, uset.size))}"
     )
     return 0
@@ -444,14 +440,12 @@ _RUNNERS = {
 
 
 def run(cfg):
-    """Execute a parsed config; returns the process exit code."""
-    try:
-        return _RUNNERS[cfg.mode](cfg)
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        # domain validation tripped by config-derived values
-        raise ConfigError(str(exc)) from exc
+    """Execute a parsed config; returns the process exit code.
+
+    Config problems found while running raise ConfigError; any other
+    ValueError or ArithmeticError is a numeric failure.
+    """
+    return _RUNNERS[cfg.mode](cfg)
 
 
 def main(argv=None):
@@ -470,7 +464,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"klconst: config error: {exc}", file=sys.stderr)
         return 2
-    except ArithmeticError as exc:
+    except (ArithmeticError, ValueError) as exc:
         print(f"klconst: numeric failure: {exc}", file=sys.stderr)
         return 3
 

@@ -75,6 +75,11 @@ def _check_sigma2(sigma2):
     return sigma2
 
 
+def _sigma2_at(K, snr_db):
+    # noise variance at a per-antenna SNR in dB under unit block energy
+    return 1.0 / (K * 10.0 ** (snr_db / 10.0))
+
+
 def _pow2_bits(n, what):
     if n < 1 or (n & (n - 1)) != 0:
         raise ValueError(f"{what} must be a power of two, got {n}")
@@ -138,7 +143,7 @@ class ChannelParams:
     @classmethod
     def from_snr_db(cls, M, K, snr_db):
         """Build parameters from an SNR in dB: sigma2 = 1/(K * 10^(dB/10))."""
-        return cls(M=M, K=K, sigma2=1.0 / (K * 10.0 ** (snr_db / 10.0)))
+        return cls(M=M, K=K, sigma2=_sigma2_at(K, snr_db))
 
 
 class SignalPoint:
@@ -394,9 +399,16 @@ class MultiLevelConstellation:
 # KL distances
 # ---------------------------------------------------------------------------
 
-def _d2_from_shifted(num, den):
-    # x - ln x - 1 for x = num/den, written around x = 1 for stability.
-    xm1 = (num - den) / den
+def _kl_direction(e_k, gap, sigma2):
+    # D1 = gap / (sigma2 (sigma2 + E_k)) for gap = E_k E_i - |s_k^T s_i^*|^2
+    return max(gap, 0.0) / (sigma2 * (sigma2 + e_k))
+
+
+def _kl_energy(e_i, e_k, sigma2):
+    # D2 = x - ln x - 1 for x = (sigma2 + E_i)/(sigma2 + E_k), written
+    # around x = 1 for stability.
+    den = sigma2 + e_k
+    xm1 = (sigma2 + e_i - den) / den
     return max(xm1 - math.log1p(xm1), 0.0)
 
 
@@ -424,8 +436,7 @@ def kl_full(s_i, s_k, sigma2):
     e_i = float(np.real(np.vdot(x, x)))
     e_k = float(np.real(np.vdot(y, y)))
     cross = abs(np.vdot(x, y)) ** 2
-    d1 = max(e_k * e_i - cross, 0.0) / (sigma2 * (sigma2 + e_k))
-    return d1 + _d2_from_shifted(sigma2 + e_i, sigma2 + e_k)
+    return _kl_direction(e_k, e_k * e_i - cross, sigma2) + _kl_energy(e_i, e_k, sigma2)
 
 
 def kl_decomposed(alpha_k, v_k, alpha_i, v_i, sigma2):
@@ -444,9 +455,10 @@ def kl_decomposed(alpha_k, v_k, alpha_i, v_i, sigma2):
     chordal = max(1.0 - abs(np.vdot(pi.direction, pk.direction)) ** 2, 0.0)
     ak2 = pk.amplitude**2
     ai2 = pi.amplitude**2
-    d1 = ak2 * ai2 * chordal / (sigma2 * (sigma2 + ak2))
-    d2 = _d2_from_shifted(sigma2 + ai2, sigma2 + ak2)
-    return d1, d2
+    return (
+        _kl_direction(ak2, ak2 * ai2 * chordal, sigma2),
+        _kl_energy(ai2, ak2, sigma2),
+    )
 
 
 def intra_level_kl(alpha, min_sq_dist, sigma2):
@@ -464,7 +476,7 @@ def intra_level_kl(alpha, min_sq_dist, sigma2):
     if math.isinf(min_sq_dist):
         return math.inf
     a2 = alpha * alpha
-    return a2 * a2 * min_sq_dist / (sigma2 * (sigma2 + a2))
+    return _kl_direction(a2, a2 * a2 * min_sq_dist, sigma2)
 
 
 def inter_level_kl(alpha_n1, alpha_n2, sigma2):
@@ -478,7 +490,7 @@ def inter_level_kl(alpha_n1, alpha_n2, sigma2):
     a2 = float(alpha_n2)
     if a1 < 0.0 or a2 < 0.0:
         raise ValueError("amplitudes must be nonnegative")
-    return _d2_from_shifted(sigma2 + a1 * a1, sigma2 + a2 * a2)
+    return _kl_energy(a1 * a1, a2 * a2, sigma2)
 
 
 def pairwise_kl_matrix(points, sigma2):
@@ -535,13 +547,15 @@ def min_kl_bruteforce(c, sigma2):
 # serialization
 # ---------------------------------------------------------------------------
 
-def format_vector_line(v):
-    """One direction vector as interleaved re/im decimals."""
-    parts = []
-    for z in v:
-        parts.append(f"{z.real:.17g}")
-        parts.append(f"{z.imag:.17g}")
-    return " ".join(parts)
+def write_layout(path, header, amplitudes, vectors):
+    """Write the plain-text layout read by :func:`read_layout`: the header
+    line, one amplitude per line, then one vector per line as interleaved
+    re/im decimals."""
+    lines = [header] + [f"{a:.17g}" for a in amplitudes]
+    for v in vectors:
+        lines.append(" ".join(f"{z.real:.17g} {z.imag:.17g}" for z in v))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def parse_vector_line(line, K, lineno, path):
@@ -561,30 +575,67 @@ def parse_vector_line(line, K, lineno, path):
     return re + 1j * im
 
 
-def check_loaded_norms(V, linenos, path):
-    """Reject vectors whose stored norm is off by more than LOAD_NORM_TOL,
-    then renormalize the survivors to exact unit norm."""
+def read_layout(path, header, build):
+    """Read the layout shared by codebook and constellation files.
+
+    ``header`` names the header's fields: integers >= 1, except the real
+    ``sigma2_design``.  ``N_levels`` amplitude lines (if named) follow, then
+    as many vector lines as the last count; blank and '#' lines are skipped.
+    Returns ``build(fields, amplitudes, V)`` with norms renormalized; any
+    problem, also a ValueError from ``build``, raises FileFormatError.
+    """
+    content = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            text = raw.strip()
+            if text and not text.startswith("#"):
+                content.append((lineno, text))
+    if not content:
+        raise FileFormatError(f"{path}:1: empty file")
+    lineno, text = content[0]
+    names = header.split()
+    values = text.split()
+    if len(values) != len(names):
+        raise FileFormatError(
+            f"{path}:{lineno}: header must be '{header}', got {len(values)} fields"
+        )
+    try:
+        fields = {
+            name: float(value) if name == "sigma2_design" else int(value)
+            for name, value in zip(names, values)
+        }
+    except ValueError as exc:
+        raise FileFormatError(f"{path}:{lineno}: bad header: {exc}") from None
+    counts = [v for name, v in fields.items() if name != "sigma2_design"]
+    if min(counts) < 1:
+        raise FileFormatError(f"{path}:{lineno}: header counts must be >= 1")
+    n_amps = fields.get("N_levels", 0)
+    body = content[1:]
+    if len(body) != n_amps + counts[-1]:
+        raise FileFormatError(
+            f"{path}:{lineno}: expected {n_amps} amplitude and {counts[-1]} "
+            f"vector lines, found {len(body)}"
+        )
+    amps = []
+    for ln, text in body[:n_amps]:
+        try:
+            amps.append(float(text))
+        except ValueError as exc:
+            raise FileFormatError(f"{path}:{ln}: bad amplitude: {exc}") from None
+    vector_lines = body[n_amps:]
+    V = np.array([parse_vector_line(t, fields["K"], ln, path) for ln, t in vector_lines])
     norms = np.linalg.norm(V, axis=1)
     bad = np.abs(norms - 1.0) > LOAD_NORM_TOL
     if np.any(bad):
         row = int(np.argmax(bad))
         raise FileFormatError(
-            f"{path}:{linenos[row]}: vector norm {norms[row]:.9g} "
+            f"{path}:{vector_lines[row][0]}: vector norm {norms[row]:.9g} "
             f"deviates from 1 beyond {LOAD_NORM_TOL}"
         )
-    return V / norms[:, None]
-
-
-def read_content_lines(path):
-    # (lineno, stripped-text) pairs, skipping blanks and '#' comments.
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text or text.startswith("#"):
-                continue
-            out.append((lineno, text))
-    return out
+    try:
+        return build(fields, np.array(amps), V / norms[:, None])
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from None
 
 
 def save_constellation(c, path):
@@ -594,15 +645,8 @@ def save_constellation(c, path):
     amplitude per line, then one direction vector per line (2K decimals,
     re/im interleaved).
     """
-    lines = [
-        f"{c.K} {c.levels.size} {c.directions.size} {c.sigma2_design:.17g}"
-    ]
-    for a in c.levels.amplitudes:
-        lines.append(f"{a:.17g}")
-    for v in c.directions.vectors:
-        lines.append(format_vector_line(v))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = f"{c.K} {c.levels.size} {c.directions.size} {c.sigma2_design:.17g}"
+    write_layout(path, header, c.levels.amplitudes, c.directions.vectors)
 
 
 def load_constellation(path):
@@ -612,50 +656,13 @@ def load_constellation(path):
     anything worse, or any structural problem, raises FileFormatError with
     the offending line number.
     """
-    content = read_content_lines(path)
-    if not content:
-        raise FileFormatError(f"{path}:1: empty file")
-    lineno, header = content[0]
-    fields = header.split()
-    if len(fields) != 4:
-        raise FileFormatError(
-            f"{path}:{lineno}: header must be 'K N_levels N_directions "
-            f"sigma2_design', got {len(fields)} fields"
-        )
-    try:
-        K = int(fields[0])
-        n_levels = int(fields[1])
-        n_dirs = int(fields[2])
-        sigma2 = float(fields[3])
-    except ValueError as exc:
-        raise FileFormatError(f"{path}:{lineno}: bad header: {exc}") from None
-    if K < 1 or n_levels < 1 or n_dirs < 1:
-        raise FileFormatError(f"{path}:{lineno}: header counts must be >= 1")
-    body = content[1:]
-    if len(body) != n_levels + n_dirs:
-        raise FileFormatError(
-            f"{path}:{lineno}: expected {n_levels} amplitude and {n_dirs} "
-            f"vector lines, found {len(body)}"
-        )
-    amps = []
-    for ln, text in body[:n_levels]:
-        try:
-            amps.append(float(text))
-        except ValueError as exc:
-            raise FileFormatError(f"{path}:{ln}: bad amplitude: {exc}") from None
-    rows = []
-    linenos = []
-    for ln, text in body[n_levels:]:
-        rows.append(parse_vector_line(text, K, ln, path))
-        linenos.append(ln)
-    V = check_loaded_norms(np.array(rows), linenos, path)
-    amps = np.array(amps)
-    ratio = None
-    if n_levels > 1:
-        ratio = (sigma2 + amps[1] ** 2) / (sigma2 + amps[0] ** 2)
-    try:
+
+    def build(fields, amps, V):
+        sigma2 = fields["sigma2_design"]
+        ratio = None
+        if amps.size > 1:
+            ratio = (sigma2 + amps[1] ** 2) / (sigma2 + amps[0] ** 2)
         levels = LevelSet(amps, sigma2, ratio=ratio)
-        directions = UnitarySet(V)
-        return MultiLevelConstellation(levels, directions)
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: {exc}") from None
+        return MultiLevelConstellation(levels, UnitarySet(V))
+
+    return read_layout(path, "K N_levels N_directions sigma2_design", build)

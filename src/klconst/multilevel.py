@@ -18,11 +18,15 @@ average power constraint
 
     2^l_alpha (sigma2 + 1) = (sigma2 + alpha_0^2) (r^{2^l_alpha} - 1)/(r - 1).
 
-g falls and h rises along the feasible ratio range, so a plain bisection on
-r finds the balance point; the degenerate single-direction design instead
-pushes alpha_0 to zero and lets the power constraint fix the ratio.  The
-bit split between levels and directions is chosen by evaluating all
-l_s + 1 allocations and keeping the largest objective.
+g falls and h rises along the feasible ratio range, so a plain bisection
+finds the balance point; the degenerate single-direction design instead
+pushes alpha_0 to zero and lets the power constraint fix the ratio.  One
+bisection helper serves both: it works on d = r - 1, which spans about
+1e-6 (very low SNR) to 1e7 (very high SNR), and stops when the bracket is
+narrower than 1e-12 of its upper end, so the step count does not depend on
+the scale of d.  g and h are the core's direction and energy KL terms.  The
+bit split between levels and directions is chosen by building all l_s + 1
+allocations once and keeping the largest objective.
 """
 
 from __future__ import annotations
@@ -37,8 +41,8 @@ from .core import (
     MultiLevelConstellation,
     UnitarySet,
     _check_sigma2,
-    inter_level_kl,
-    intra_level_kl,
+    _kl_direction,
+    _kl_energy,
 )
 
 __all__ = [
@@ -51,10 +55,13 @@ __all__ = [
     "allocate_bits",
 ]
 
-# Bracket width for locating the feasibility boundary r_u (where the base
-# amplitude hits zero) and default bracket width for the main bisection.
-BOUNDARY_EPS = 1e-12
-DEFAULT_EPS = 1e-12
+# Both ratio bisections run on d = r - 1 and stop at a bracket width of
+# REL_TOL times its upper end.  Halving any bracket of doubles meets that
+# rule, or runs out of floats between its ends, well within MAX_HALVINGS
+# (2^1024 down to 2^-1074 is 2098 halvings); the cap only guards against a
+# non-monotone test.
+REL_TOL = 1e-12
+MAX_HALVINGS = 2200
 
 ALLOCATION_CSV_HEADER = "l_alpha,min_kl,r0,alpha0"
 
@@ -99,68 +106,65 @@ class DesignOutcome:
     per_allocation_table: list[AllocationRow] = field(default_factory=list)
 
 
-def _geom_sum(r, n):
-    # sum_{i<n} r^i = (r^n - 1)/(r - 1), stable through r -> 1.
-    d = r - 1.0
-    if abs(d) < 1e-13:
-        return float(n)
+def _geom_sum(d, n):
+    # sum_{i<n} (1 + d)^i = ((1 + d)^n - 1)/d, accurate for small d > 0
     return math.expm1(n * math.log1p(d)) / d
 
 
-def _g_of(alpha_sq, t, sigma2):
-    # intra objective as a function of the squared base amplitude
-    return alpha_sq * alpha_sq * t / (sigma2 * (sigma2 + alpha_sq))
+def _base_amp_sq(d, n_levels, sigma2):
+    # alpha_0^2 from the power constraint at ratio r = 1 + d
+    return n_levels * (1.0 + sigma2) / _geom_sum(d, n_levels) - sigma2
 
 
-def _h_of(r):
-    # inter objective 1/r - ln(1/r) - 1, written around r = 1
-    xm1 = 1.0 / r - 1.0
-    return xm1 - math.log1p(xm1)
+def _bisect(holds, lo, hi):
+    """Shrink a bracket on d = r - 1 with holds(lo) true and holds(hi) false.
 
-
-def _base_amp_sq(r, n_levels, sigma2):
-    # alpha_0^2 from the power constraint at ratio r (limit 1 as r -> 1)
-    return n_levels * (1.0 + sigma2) / _geom_sum(r, n_levels) - sigma2
-
-
-def _feasible_ratio_ceiling(n_levels, sigma2):
-    """Largest ratio with a nonnegative base amplitude.
-
-    The power constraint pins sum_{i} r^i = n (1 + sigma2)/(sigma2 +
-    alpha_0^2), so the ceiling solves sum r^i = n (1 + sigma2)/sigma2;
-    located by doubling r - 1 past the boundary and bisecting to 1e-12.
+    Halves until hi - lo <= REL_TOL * hi, or until no float lies strictly
+    between the ends.  The rule is scale-free, so it ends in about 40 halvings
+    plus log2 of the bracket's overshoot whatever the magnitude of d.
+    Returns (lo, hi, halvings).
     """
-    target = n_levels * (1.0 + sigma2) / sigma2
-    d = 1e-6
-    while _geom_sum(1.0 + d, n_levels) <= target:
-        d *= 2.0
-        if not math.isfinite(d):
-            raise ArithmeticError("feasibility boundary search diverged")
-    lo, hi = d / 2.0, d
-    while hi - lo >= BOUNDARY_EPS * max(1.0, lo):
+    for halvings in range(MAX_HALVINGS):
         mid = 0.5 * (lo + hi)
-        if _geom_sum(1.0 + mid, n_levels) <= target:
+        if hi - lo <= REL_TOL * hi or not lo < mid < hi:
+            return lo, hi, halvings
+        if holds(mid):
             lo = mid
         else:
             hi = mid
-    return 1.0 + lo
+    raise ArithmeticError(f"bisection did not settle in {MAX_HALVINGS} halvings")
 
 
-def _result_from_ratio(r, n_levels, t, sigma2, iterations):
-    alpha_sq = max(_base_amp_sq(r, n_levels, sigma2), 0.0)
-    res_eq = abs(_g_of(alpha_sq, t, sigma2) - _h_of(r))
-    shifted = (sigma2 + alpha_sq) * r ** np.arange(n_levels)
-    res_pw = abs(float(np.mean(shifted - sigma2)) - 1.0)
-    return BisectionResult(
-        r0=r,
-        alpha0=math.sqrt(alpha_sq),
-        iterations=iterations,
-        residual_equality=res_eq,
-        residual_power=res_pw,
-    )
+def _feasible_ratio_ceiling(n_levels, sigma2):
+    """Largest ratio r = 1 + d with a nonnegative base amplitude, as d.
+
+    The power constraint pins sum_{i} r^i = n (1 + sigma2)/(sigma2 +
+    alpha_0^2), so the ceiling solves sum r^i = n (1 + sigma2)/sigma2;
+    located by doubling d from 1 past the boundary and bisecting from 0.
+    The returned d is the feasible end of the final bracket.
+    """
+    target = n_levels * (1.0 + sigma2) / sigma2
+
+    def holds(d):
+        return _geom_sum(d, n_levels) <= target
+
+    hi = 1.0
+    while holds(hi):
+        hi *= 2.0
+        if not math.isfinite(hi):
+            raise ArithmeticError("feasibility boundary search diverged")
+    return _bisect(holds, 0.0, hi)[0]
 
 
-def solve_bisection(sigma2, l_alpha, t_v, eps=DEFAULT_EPS):
+def _balance(d, n_levels, t_v, sigma2):
+    # Intra distance of the base level minus the inter distance of the two
+    # lowest levels at ratio 1 + d; falls from positive to negative in d.
+    e0 = max(_base_amp_sq(d, n_levels, sigma2), 0.0)
+    e1 = (sigma2 + e0) * (1.0 + d) - sigma2
+    return _kl_direction(e0, e0 * e0 * t_v, sigma2) - _kl_energy(e0, e1, sigma2)
+
+
+def solve_bisection(sigma2, l_alpha, t_v):
     """Equalize the intra and inter objectives by bisection on the ratio.
 
     Parameters
@@ -171,8 +175,6 @@ def solve_bisection(sigma2, l_alpha, t_v, eps=DEFAULT_EPS):
         Level bits, >= 1 (2^l_alpha levels).
     t_v : float
         Min squared chordal distance of the direction set; finite, > 0.
-    eps : float, optional
-        Final bracket width on r.
 
     Returns
     -------
@@ -180,40 +182,39 @@ def solve_bisection(sigma2, l_alpha, t_v, eps=DEFAULT_EPS):
         Ratio, base amplitude, iteration count, and the equality / power
         residuals of the returned point.
 
-    The difference g(alpha_0(r)) - h(r) is strictly decreasing in r,
-    positive at r -> 1 (h vanishes) and negative at the feasibility ceiling
-    (g vanishes with alpha_0), so the sign change is guaranteed; it is still
-    guarded to fail loudly on numeric surprises.
+    The bisection runs on d = r - 1 over (0, d_max], d_max being the
+    feasibility ceiling, until the bracket is narrower than 1e-12 of its
+    upper end or holds no float inside; r0 is 1 plus its midpoint.  This
+    relative rule takes about 40 steps whether d is 1e-6 (very low SNR) or
+    1e7 (very high SNR).  The difference g(alpha_0(r)) - h(r) is strictly
+    decreasing in r, positive at r -> 1 (h vanishes) and negative at the
+    feasibility ceiling (g vanishes with alpha_0), so the sign change is
+    guaranteed; it is still guarded to fail loudly on numeric surprises.
     """
     sigma2 = _check_sigma2(sigma2)
     if l_alpha < 1:
         raise ValueError(f"l_alpha must be >= 1, got {l_alpha}")
     if not (math.isfinite(t_v) and t_v > 0.0):
         raise ValueError(f"t_v must be finite and positive, got {t_v!r}")
-    eps = float(eps)
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps!r}")
     n = 2**l_alpha
-
-    def balance(r):
-        return _g_of(max(_base_amp_sq(r, n, sigma2), 0.0), t_v, sigma2) - _h_of(r)
-
-    lo = 1.0
     hi = _feasible_ratio_ceiling(n, sigma2)
-    if balance(hi) > 0.0:
+    if _balance(hi, n, t_v, sigma2) > 0.0:
         raise ArithmeticError(
-            f"no sign change on the ratio bracket (1, {hi!r}); inputs "
+            f"no sign change on the ratio bracket (1, {1.0 + hi!r}); inputs "
             f"sigma2={sigma2!r}, l_alpha={l_alpha}, t_v={t_v!r}"
         )
-    iterations = 0
-    while hi - lo >= eps:
-        mid = 0.5 * (lo + hi)
-        if balance(mid) <= 0.0:
-            hi = mid
-        else:
-            lo = mid
-        iterations += 1
-    return _result_from_ratio(0.5 * (lo + hi), n, t_v, sigma2, iterations)
+    lo, hi, iterations = _bisect(lambda d: _balance(d, n, t_v, sigma2) > 0.0, 0.0, hi)
+    r = 1.0 + 0.5 * (lo + hi)
+    # r - 1 is exact, so alpha_0 is the one the power identity gives at r
+    alpha_sq = max(_base_amp_sq(r - 1.0, n, sigma2), 0.0)
+    shifted = (sigma2 + alpha_sq) * r ** np.arange(n)
+    return BisectionResult(
+        r0=r,
+        alpha0=math.sqrt(alpha_sq),
+        iterations=iterations,
+        residual_equality=abs(_balance(r - 1.0, n, t_v, sigma2)),
+        residual_power=abs(float(np.mean(shifted - sigma2)) - 1.0),
+    )
 
 
 def build_level_set(res, sigma2, l_alpha):
@@ -259,62 +260,11 @@ def energy_only_levels(sigma2, l_alpha):
         return LevelSet([0.0, math.sqrt(2.0)], sigma2, ratio=r)
     # Same boundary as the feasibility ceiling of the general solver: the
     # ratio at which the power identity holds with a zero base level.
-    r = _feasible_ratio_ceiling(n, sigma2)
+    r = 1.0 + _feasible_ratio_ceiling(n, sigma2)
     shifted = sigma2 * r ** np.arange(n)
     amps = np.sqrt(np.maximum(shifted - sigma2, 0.0))
     amps[0] = 0.0
     return LevelSet(amps, sigma2, ratio=r)
-
-
-def _objective_rows(l_s, sigma2, unitary_library):
-    rows = []
-    for l_alpha in range(l_s + 1):
-        l_v = l_s - l_alpha
-        directions = unitary_library[l_v]
-        if l_alpha == 0:
-            rows.append(
-                AllocationRow(
-                    l_alpha=0,
-                    min_kl=intra_level_kl(1.0, directions.min_sq_dist, sigma2),
-                    r0=None,
-                    alpha0=1.0,
-                )
-            )
-        elif l_alpha == l_s:
-            levels = energy_only_levels(sigma2, l_alpha)
-            rows.append(
-                AllocationRow(
-                    l_alpha=l_alpha,
-                    min_kl=_min_pair_objective(levels, directions, sigma2),
-                    r0=levels.ratio,
-                    alpha0=0.0,
-                )
-            )
-        else:
-            res = solve_bisection(sigma2, l_alpha, directions.min_sq_dist)
-            levels = build_level_set(res, sigma2, l_alpha)
-            rows.append(
-                AllocationRow(
-                    l_alpha=l_alpha,
-                    min_kl=_min_pair_objective(levels, directions, sigma2),
-                    r0=res.r0,
-                    alpha0=res.alpha0,
-                )
-            )
-    return rows
-
-
-def _min_pair_objective(levels, directions, sigma2):
-    """Achieved objective of a constructed design, computed analytically.
-
-    The minimum over all point pairs sits either inside the lowest level or
-    between consecutive levels, so only those terms are evaluated.
-    """
-    a = levels.amplitudes
-    best = intra_level_kl(a[0], directions.min_sq_dist, sigma2)
-    for i in range(a.size - 1):
-        best = min(best, inter_level_kl(a[i], a[i + 1], sigma2))
-    return best
 
 
 def allocate_bits(l_s, sigma2, unitary_library):
@@ -349,26 +299,35 @@ def allocate_bits(l_s, sigma2, unitary_library):
                 f"unitary library entry for l_v={l_v} must be a UnitarySet "
                 f"of cardinality {2 ** l_v}"
             )
-    rows = _objective_rows(l_s, sigma2, unitary_library)
-    best = rows[0]
-    for row in rows[1:]:
-        if row.min_kl > best.min_kl:
-            best = row
-    directions = unitary_library[l_s - best.l_alpha]
-    if best.l_alpha == 0:
-        levels = build_level_set(None, sigma2, 0)
-    elif best.l_alpha == l_s:
-        levels = energy_only_levels(sigma2, best.l_alpha)
-    else:
-        levels = build_level_set(
-            solve_bisection(sigma2, best.l_alpha, directions.min_sq_dist),
-            sigma2,
-            best.l_alpha,
-        )
-    constellation = MultiLevelConstellation(levels, directions)
+    rows = []
+    for l_alpha in range(l_s + 1):
+        t_v = unitary_library[l_s - l_alpha].min_sq_dist
+        if l_alpha == 0:
+            levels = build_level_set(None, sigma2, 0)
+            r0, alpha0 = None, 1.0
+        elif l_alpha == l_s:
+            levels = energy_only_levels(sigma2, l_alpha)
+            r0, alpha0 = levels.ratio, 0.0
+        else:
+            res = solve_bisection(sigma2, l_alpha, t_v)
+            levels = build_level_set(res, sigma2, l_alpha)
+            r0, alpha0 = res.r0, res.alpha0
+        # The minimum over all point pairs sits inside the lowest level or
+        # between consecutive levels, so only those terms are evaluated.
+        e = [a * a for a in levels.amplitudes.tolist()]
+        min_kl = math.inf
+        if not math.isinf(t_v):
+            min_kl = _kl_direction(e[0], e[0] * e[0] * t_v, sigma2)
+        for e_lo, e_hi in zip(e, e[1:]):
+            min_kl = min(min_kl, _kl_energy(e_lo, e_hi, sigma2))
+        rows.append(AllocationRow(l_alpha, min_kl, r0, alpha0))
+        if len(rows) == 1 or min_kl > best.min_kl:
+            best, best_levels = rows[-1], levels
     return DesignOutcome(
         l_alpha=best.l_alpha,
-        constellation=constellation,
+        constellation=MultiLevelConstellation(
+            best_levels, unitary_library[l_s - best.l_alpha]
+        ),
         min_kl=best.min_kl,
         per_allocation_table=rows,
     )

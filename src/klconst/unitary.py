@@ -15,19 +15,16 @@ from the shared plain-text format instead.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
-    FileFormatError,
     UnitarySet,
+    _min_sq_chordal,
     canonical_direction,
-    check_loaded_norms,
-    format_vector_line,
-    parse_vector_line,
-    read_content_lines,
+    read_layout,
+    write_layout,
 )
 from .linksim import _stream
 
@@ -114,11 +111,7 @@ def min_sq_chordal(vectors):
             raise ValueError(
                 f"vector {worst} has norm {norms[worst]!r}; inputs must be unit norm"
             )
-    if V.shape[0] < 2:
-        return math.inf
-    P = np.abs(V @ V.conj().T) ** 2
-    np.fill_diagonal(P, -np.inf)
-    return float(max(1.0 - P.max(), 0.0))
+    return _min_sq_chordal(V)
 
 
 def welch_limit(K, N):
@@ -189,11 +182,7 @@ def optimize_unitary(cfg):
 
 def save_unitary(uset, path):
     """Write a codebook: header line ``K N``, then one vector per line."""
-    lines = [f"{uset.K} {uset.size}"]
-    for v in uset.vectors:
-        lines.append(format_vector_line(v))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_layout(path, f"{uset.K} {uset.size}", [], uset.vectors)
 
 
 def load_unitary(path):
@@ -203,37 +192,7 @@ def load_unitary(path):
     Norms may be off by up to 1e-6 and are renormalized; anything worse, or
     any structural problem, raises FileFormatError with the line number.
     """
-    content = read_content_lines(path)
-    if not content:
-        raise FileFormatError(f"{path}:1: empty file")
-    lineno, header = content[0]
-    fields = header.split()
-    if len(fields) != 2:
-        raise FileFormatError(
-            f"{path}:{lineno}: header must be 'K N', got {len(fields)} fields"
-        )
-    try:
-        K = int(fields[0])
-        n = int(fields[1])
-    except ValueError as exc:
-        raise FileFormatError(f"{path}:{lineno}: bad header: {exc}") from None
-    if K < 1 or n < 1:
-        raise FileFormatError(f"{path}:{lineno}: header counts must be >= 1")
-    body = content[1:]
-    if len(body) != n:
-        raise FileFormatError(
-            f"{path}:{lineno}: expected {n} vector lines, found {len(body)}"
-        )
-    rows = []
-    linenos = []
-    for ln, text in body:
-        rows.append(parse_vector_line(text, K, ln, path))
-        linenos.append(ln)
-    V = check_loaded_norms(np.array(rows), linenos, path)
-    try:
-        return UnitarySet(V)
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: {exc}") from None
+    return read_layout(path, "K N", lambda fields, amps, V: UnitarySet(V))
 
 
 def library_codebook(K, l_v, seed=0, restarts=DEFAULT_RESTARTS,

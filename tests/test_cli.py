@@ -1,5 +1,10 @@
 """Config parsing, mode artifacts, exit codes, output reproducibility."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -108,6 +113,20 @@ class TestDesignMode:
         assert len(table) == 4  # l_alpha = 0, 1, 2
         c = load_constellation(out / "design_point00_constellation.txt")
         assert c.size == 4
+
+    def test_high_snr_point_finishes(self, tmp_path):
+        # at 50 dB the level ratio is about 1e5; run in a child process so
+        # that a bisection which never settles fails on the timeout
+        cfg = write_config(tmp_path, K=2, l_s=2, snr_db_list="50", seed=5,
+                           output_path=tmp_path / "high.csv")
+        src = str(Path(klconst.unitary.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "klconst.cli", "design", "--config", str(cfg)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "high.csv").read_text().splitlines()[1].startswith("50,")
 
     def test_rerun_is_byte_identical(self, tmp_path, design_cfg):
         main(["design", "--config", str(design_cfg)])
@@ -278,6 +297,22 @@ class TestExitCodes:
             raise ArithmeticError("bracket collapsed")
 
         monkeypatch.setitem(cli_mod._RUNNERS, "design", boom)
+        cfg = write_config(
+            tmp_path, K=2, l_s=2, snr_db_list="0", seed=1,
+            output_path=tmp_path / "x.csv",
+        )
+        assert main(["design", "--config", str(cfg)]) == 3
+        assert "numeric failure" in capsys.readouterr().err
+
+    def test_domain_value_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        # a ValueError that is not a ConfigError comes from the library's
+        # own checks on computed values, not from the config
+        import klconst.cli as cli_mod
+
+        def off_power(cfg):
+            raise ValueError("mean squared amplitude violates the unit power constraint")
+
+        monkeypatch.setitem(cli_mod._RUNNERS, "design", off_power)
         cfg = write_config(
             tmp_path, K=2, l_s=2, snr_db_list="0", seed=1,
             output_path=tmp_path / "x.csv",

@@ -5,12 +5,15 @@ import math
 import numpy as np
 import pytest
 
+import klconst.multilevel as multilevel
 from klconst import (
+    ChannelParams,
     LevelSet,
     MultiLevelConstellation,
     UnitarySet,
     allocate_bits,
     build_level_set,
+    canonical_direction,
     energy_only_levels,
     inter_level_kl,
     intra_level_kl,
@@ -86,11 +89,11 @@ class TestSolveBisection:
         assert res.alpha0 == pytest.approx(ALPHA0_REFERENCE, abs=1e-9)
 
     def test_reference_case_matches_grid_oracle(self):
-        res = solve_bisection(0.1, 1, 1.0, eps=1e-12)
+        res = solve_bisection(0.1, 1, 1.0)
         assert abs(res.r0 - grid_oracle_ratio(0.1, 1, 1.0)) < 1e-6
 
     def test_residuals_are_tight(self):
-        res = solve_bisection(0.05, 2, 0.5, eps=1e-12)
+        res = solve_bisection(0.05, 2, 0.5)
         assert res.residual_equality < 1e-8
         assert res.residual_power < 1e-9
         assert res.r0 > 1.0
@@ -121,10 +124,6 @@ class TestSolveBisection:
     def test_rejects_bad_inputs(self, args):
         with pytest.raises(ValueError):
             solve_bisection(*args)
-
-    def test_rejects_bad_eps(self):
-        with pytest.raises(ValueError):
-            solve_bisection(0.1, 1, 1.0, eps=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -288,3 +287,51 @@ class TestLocalOptimality:
             kl = pairwise_kl_matrix(pts, sigma2)
             np.fill_diagonal(kl, np.inf)
             assert kl.min() <= designed + 1e-8
+
+
+# ---------------------------------------------------------------------------
+# regression grid
+# ---------------------------------------------------------------------------
+
+
+def random_library(K, l_s, rng):
+    """Unpacked random direction sets of 2^l_v vectors for l_v = 0 .. l_s."""
+    lib = {0: UnitarySet(canonical_direction(K)[None, :])}
+    for l_v in range(1, l_s + 1):
+        V = rng.standard_normal((2**l_v, K)) + 1j * rng.standard_normal((2**l_v, K))
+        lib[l_v] = UnitarySet(V / np.linalg.norm(V, axis=1, keepdims=True))
+    return lib
+
+
+class TestRegressionGrid:
+    """Designs across the SNR range at whose ends an absolute stopping rule
+    on the ratio broke: it never returned at high SNR (r ~ 1e5, coarser
+    than the tolerance), and at low SNR (r - 1 << 1) the energy-only levels
+    missed the power constraint, as at -19.5 dB with K=2, l_s=6."""
+
+    def test_designs_hold_power_and_objective(self, rng, monkeypatch):
+        iterations = []
+        real = multilevel.solve_bisection
+
+        def recording(*args):
+            res = real(*args)
+            iterations.append(res.iterations)
+            return res
+
+        monkeypatch.setattr(multilevel, "solve_bisection", recording)
+        libs = {K: random_library(K, 8, rng) for K in (2, 4)}
+        cases = [
+            (K, l_s, -50.0 + 5.0 * i)
+            for K in (2, 4)
+            for l_s in range(1, 9)
+            for i in range(23)
+        ]
+        cases += [(2, 6, -19.5), (2, 6, -18.75)]
+        for K, l_s, snr_db in cases:
+            sigma2 = ChannelParams.from_snr_db(1, K, snr_db).sigma2
+            out = allocate_bits(l_s, sigma2, libs[K])
+            amps = out.constellation.levels.amplitudes
+            assert abs(np.mean(amps**2) - 1.0) <= 1e-9, (K, l_s, snr_db)
+            brute, _ = min_kl_bruteforce(out.constellation, sigma2)
+            assert out.min_kl == pytest.approx(brute, rel=1e-9), (K, l_s, snr_db)
+        assert iterations and max(iterations) < multilevel.MAX_HALVINGS
