@@ -258,6 +258,14 @@ def parse_config(path, mode, seed_override=None, out_override=None):
         cfg.smoothing = _as_float(raw["smoothing"], "smoothing")
         if cfg.smoothing <= 0:
             raise ConfigError(f"field 'smoothing' must be > 0, got {cfg.smoothing}")
+    if cfg.K == 1 and (
+        mode in ("design", "pack-unitary")
+        or (mode == "ser-sweep" and {"multilevel", "unitary"} & set(cfg.schemes))
+    ):
+        raise ConfigError(
+            f"field 'K' must be >= 2 for mode {mode} with packed directions: "
+            "C^1 holds only one direction, so no two codebook entries differ"
+        )
 
     for l_v, lib_path in library_paths.items():
         if not Path(lib_path).is_file():

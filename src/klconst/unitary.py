@@ -9,8 +9,13 @@ a max-min line-packing objective on the complex projective space.  The
 problem is non-smooth, so the optimizer here climbs a temperature-sharpened
 soft-min surrogate with per-step renormalization and random restarts; the
 reported distance of the returned set is always the exact minimum, never
-the surrogate.  External codebooks (built by any other tool) can be loaded
-from the shared plain-text format instead.
+the surrogate.  The restarts of one packing climb together as an (R, N, K)
+stack, one numpy call per step for all of them, in chunks that bound each
+per-step (R, N, N) array to _CHUNK_ENTRIES entries.  Each restart only
+ever touches its own slice, so it ends on the same bits as a lone climb,
+and the chunking cannot change a codebook; ties between restarts still go
+to the earliest.  External codebooks (built by any other tool) can be
+loaded from the shared plain-text format instead.
 """
 
 from __future__ import annotations
@@ -47,6 +52,10 @@ __all__ = [
 SHARPEN_SPAN = 512.0
 STEP_START = 0.6
 STEP_DECAY = 1.0 / 30.0
+
+# Restarts are climbed together in stacks whose per-step (R, N, N) arrays
+# hold at most this many entries, one restart when N^2 alone exceeds it.
+_CHUNK_ENTRIES = 2**16
 
 DEFAULT_RESTARTS = 8
 DEFAULT_ITERATIONS = 1500
@@ -131,52 +140,71 @@ def welch_limit(K, N):
 def _climb(V, iterations, smoothing):
     """Sharpened soft-min ascent on the pairwise squared chordal distances.
 
-    Wirtinger gradient of the soft-min weighted correlation energy is
-    (W o C) V for C = V V^H and pair weights W, so each step pushes every
-    vector away from its currently closest neighbors, then renormalizes.
+    V is a stack of R starts, shape (R, N, K); every step updates all R
+    sets at once and each set sees only its own (N, N) slice, so a start
+    climbs to the same bits whatever else is in the stack.  The Wirtinger
+    gradient of the soft-min weighted correlation energy is (W o C) V for
+    C = V V^H and pair weights W, so each step pushes every vector away
+    from its currently closest neighbors, then renormalizes.  The input
+    stack is left unchanged.
     """
-    n = V.shape[0]
-    eye = np.eye(n, dtype=bool)
+    R, n, _ = V.shape
+    dist = np.empty((R, n, n))
+    diagonal = dist.reshape(R, n * n)[:, :: n + 1]
     denom = max(iterations - 1, 1)
     for it in range(iterations):
         u = it / denom
         beta = smoothing * SHARPEN_SPAN**u
         step = STEP_START * STEP_DECAY**u
-        C = V @ V.conj().T
-        dist = 1.0 - np.abs(C) ** 2
-        dist[eye] = np.inf
-        w = np.exp(-beta * (dist - dist.min()))
-        w[eye] = 0.0
-        w /= w.sum()
-        V = V - step * (w * C) @ V
-        V /= np.linalg.norm(V, axis=1, keepdims=True)
+        C = V @ V.conj().transpose(0, 2, 1)
+        # |C|^2 through abs: re^2 + im^2 is faster but changes the bits
+        np.abs(C, out=dist)
+        np.square(dist, out=dist)
+        np.subtract(1.0, dist, out=dist)
+        diagonal[...] = np.inf
+        dist -= dist.min(axis=(1, 2), keepdims=True)
+        dist *= -beta
+        np.exp(dist, out=dist)
+        diagonal[...] = 0.0
+        dist /= dist.sum(axis=(1, 2), keepdims=True)  # now the weights W
+        # scale C before the product: scaling C @ V instead changes the bits
+        C *= dist
+        C *= step
+        V = V - C @ V
+        V /= np.linalg.norm(V, axis=2, keepdims=True)
     return V
 
 
 def optimize_unitary(cfg):
     """Best packing over cfg.restarts independent soft-min climbs.
 
-    Deterministic for a fixed config: restart r draws its start from a
-    counter-based stream keyed (cfg.seed, r), and equal exact scores keep
-    the earliest restart's set, so the result does not depend on execution
-    order.  The returned UnitarySet carries the exact recomputed distance.
+    Restart r draws its start from a counter-based stream keyed
+    (cfg.seed, r).  The starts are climbed as stacks of at most
+    max(1, _CHUNK_ENTRIES // N^2) restarts, which bounds each per-step
+    (R, N, N) array; since a start climbs to the same bits in any stack,
+    the chunking cannot change the result.  Results are scored in restart
+    order and equal exact scores keep the earliest restart's set, so the
+    result does not depend on execution order.  The returned UnitarySet
+    carries the exact recomputed distance.
     """
     if not isinstance(cfg, PackingConfig):
         raise TypeError("cfg must be a PackingConfig")
-    if cfg.cardinality == 1:
-        return UnitarySet(canonical_direction(cfg.K)[None, :])
-    best_v = None
-    best_t = -1.0
+    n, K = cfg.cardinality, cfg.K
+    if n == 1:
+        return UnitarySet(canonical_direction(K)[None, :])
+    starts = np.empty((cfg.restarts, n, K), dtype=complex)
     for restart in range(cfg.restarts):
         rng = _stream(cfg.seed, restart)
-        V = rng.standard_normal((cfg.cardinality, cfg.K)) + 1j * rng.standard_normal(
-            (cfg.cardinality, cfg.K)
-        )
-        V /= np.linalg.norm(V, axis=1, keepdims=True)
-        V = _climb(V, cfg.iterations, cfg.smoothing)
-        t = min_sq_chordal(V)
-        if t > best_t:
-            best_v, best_t = V, t
+        starts[restart] = rng.standard_normal((n, K)) + 1j * rng.standard_normal((n, K))
+    starts /= np.linalg.norm(starts, axis=2, keepdims=True)
+    chunk = max(1, _CHUNK_ENTRIES // n**2)
+    best_v = None
+    best_t = -1.0
+    for lo in range(0, cfg.restarts, chunk):
+        for V in _climb(starts[lo:lo + chunk], cfg.iterations, cfg.smoothing):
+            t = min_sq_chordal(V)
+            if t > best_t:
+                best_v, best_t = V, t
     return UnitarySet(best_v)
 
 

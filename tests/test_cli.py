@@ -284,6 +284,44 @@ class TestPackUnitaryMode:
         assert main(["design", "--config", str(design_cfg)]) == 0
 
 
+class TestSingleAntenna:
+    """C^1 holds one direction, so K = 1 is a config error wherever a run
+    packs direction codebooks."""
+
+    def expect_k_error(self, mode, cfg, capsys):
+        assert main([mode, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "'K'" in err
+
+    def test_design(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, K=1, l_s=2, snr_db_list="0", seed=1,
+                           output_path=tmp_path / "d.csv")
+        with pytest.raises(ConfigError, match="'K'"):
+            parse_config(cfg, "design")
+        self.expect_k_error("design", cfg, capsys)
+
+    @pytest.mark.parametrize("schemes", ["multilevel", "unitary", "unitary, pilot-qam"])
+    def test_ser_sweep_with_a_packed_scheme(self, tmp_path, capsys, schemes):
+        cfg = write_config(tmp_path, K=1, M=4, l_s=2, snr_db_list="0", trials=10,
+                           seed=1, schemes=schemes, output_path=tmp_path / "s.csv")
+        with pytest.raises(ConfigError, match="'K'"):
+            parse_config(cfg, "ser-sweep")
+        self.expect_k_error("ser-sweep", cfg, capsys)
+
+    def test_pack_unitary(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, K=1, l_s=1, seed=0, restarts=1, iterations=5,
+                           output_path=tmp_path / "u.txt")
+        with pytest.raises(ConfigError, match="'K'"):
+            parse_config(cfg, "pack-unitary")
+        self.expect_k_error("pack-unitary", cfg, capsys)
+        assert not (tmp_path / "u.txt").exists()
+
+    def test_kl_check_still_accepts_k1(self, tmp_path):
+        cfg = write_config(tmp_path, K=1, M=2, snr_db_list="0", trials=100, pairs=1,
+                           seed=1, output_path=tmp_path / "kl.csv")
+        assert parse_config(cfg, "kl-check").K == 1
+
+
 class TestExitCodes:
     def test_unreadable_config_exits_2(self, tmp_path, capsys):
         code = main(["design", "--config", str(tmp_path / "nope.cfg")])

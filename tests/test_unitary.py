@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import klconst.unitary
 from klconst import (
     FileFormatError,
     PackingConfig,
@@ -16,6 +17,8 @@ from klconst import (
     save_unitary,
     welch_limit,
 )
+from klconst.linksim import _stream
+from klconst.unitary import DEFAULT_SMOOTHING, _climb
 
 
 def tetrahedral_set():
@@ -115,6 +118,78 @@ class TestOptimizeUnitary:
             PackingConfig(K=2, cardinality=4, restarts=0)
         with pytest.raises(ValueError):
             PackingConfig(K=2, cardinality=4, smoothing=0.0)
+
+
+def restart_start(seed, restart, n, K):
+    """The start that optimize_unitary draws for one restart."""
+    rng = _stream(seed, restart)
+    V = rng.standard_normal((n, K)) + 1j * rng.standard_normal((n, K))
+    return V / np.linalg.norm(V, axis=1, keepdims=True)
+
+
+class TestBatchedRestarts:
+    @pytest.mark.parametrize("K,N", [(1, 4), (2, 8), (3, 64)])
+    def test_stacked_climb_equals_each_start_alone(self, K, N):
+        starts = np.stack([restart_start(17, r, N, K) for r in range(3)])
+        before = starts.copy()
+        stacked = _climb(starts, 50, DEFAULT_SMOOTHING)
+        np.testing.assert_array_equal(starts, before)
+        for r in range(3):
+            alone = _climb(starts[r:r + 1], 50, DEFAULT_SMOOTHING)
+            assert stacked[r].tobytes() == alone[0].tobytes()
+
+    def test_chunked_restarts_return_the_earliest_best_single_climb(self):
+        # N = 128 climbs in stacks of 4, 4 and 1 restarts
+        cfg = PackingConfig(K=2, cardinality=128, restarts=9, iterations=40)
+        out = optimize_unitary(cfg)
+        singles = [
+            _climb(restart_start(cfg.seed, r, 128, 2)[None], 40, cfg.smoothing)[0]
+            for r in range(9)
+        ]
+        scores = [min_sq_chordal(V) for V in singles]
+        best = scores.index(max(scores))
+        assert out.vectors.tobytes() == singles[best].tobytes()
+        assert out.min_sq_dist == scores[best]
+
+    @pytest.fixture()
+    def chunks(self, monkeypatch):
+        """Record (R, N) of every _climb call and return its input."""
+        seen = []
+
+        def recording(V, iterations, smoothing):
+            seen.append(V.shape[:2])
+            return V
+
+        monkeypatch.setattr(klconst.unitary, "_climb", recording)
+        return seen
+
+    @pytest.mark.parametrize(
+        "N,sizes", [(2, [9]), (64, [9]), (128, [4, 4, 1]), (256, [1] * 9), (512, [1] * 9)]
+    )
+    def test_chunks_stay_within_the_entry_budget(self, chunks, N, sizes):
+        optimize_unitary(PackingConfig(K=2, cardinality=N, restarts=9, iterations=1))
+        assert [R for R, _ in chunks] == sizes
+        for R, n in chunks:
+            assert n == N
+            assert R == 1 or R * n * n <= 2**16
+
+    def test_equal_scores_keep_the_earliest_restart(self, monkeypatch):
+        # restart r returns the identity with its columns rolled by r: an
+        # orthonormal set (distance exactly 1) of its own, across chunks of
+        # 4, 4 and 1
+        offset = [0]
+
+        def rolled(V, iterations, smoothing):
+            R, n, _ = V.shape
+            out = np.stack([np.roll(np.eye(n), offset[0] + r, axis=1) for r in range(R)])
+            offset[0] += R
+            return out
+
+        monkeypatch.setattr(klconst.unitary, "_climb", rolled)
+        out = optimize_unitary(PackingConfig(K=128, cardinality=128, restarts=9))
+        assert offset[0] == 9
+        assert out.min_sq_dist == 1.0
+        np.testing.assert_array_equal(out.vectors, np.eye(128))
 
 
 class TestDefaultLibrary:
