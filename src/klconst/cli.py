@@ -21,11 +21,13 @@ kl-check
 pack-unitary
     Optimize a direction codebook of 2^l_s vectors and write it out.
 
-Config files are flat `key = value` text; `#` lines are comments.  Lists
-are comma-separated (snr_db_list = 0, 5, 10).  Direction codebooks are
-built in-process by default; unitary_library_<l_v> keys point individual
-sizes at codebook files instead.  Only the sizes a run uses and no file
-supplies are packed.
+Config files are flat `key = value` text; a line whose first non-blank
+character is `#` is a comment.  Lists are comma-separated (snr_db_list =
+0, 5, 10).  A mode accepts `mode` and the fields it reads (_FIELDS); any
+other field is a config error.  Direction codebooks are built in-process
+by default; unitary_library_<l_v> keys (design and ser-sweep) point
+individual sizes at codebook files instead.  Only the sizes a run uses
+and no file supplies are packed.
 
 Exit codes: 0 success, 2 config problem, 3 numeric failure.  Identical
 config and seed give byte-identical output files.
@@ -36,6 +38,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +63,9 @@ from .linksim import (
 )
 from .multilevel import ALLOCATION_CSV_HEADER, allocate_bits
 from .unitary import (
+    DEFAULT_ITERATIONS,
+    DEFAULT_RESTARTS,
+    DEFAULT_SMOOTHING,
     PackingConfig,
     library_codebook,
     load_unitary,
@@ -98,9 +104,9 @@ class ExperimentConfig:
     unitary_library_paths: dict = field(default_factory=dict)
     schemes: tuple = SCHEMES
     pairs: int = 20
-    restarts: int | None = None
-    iterations: int | None = None
-    smoothing: float | None = None
+    restarts: int = DEFAULT_RESTARTS
+    iterations: int = DEFAULT_ITERATIONS
+    smoothing: float = DEFAULT_SMOOTHING
 
 
 # ---------------------------------------------------------------------------
@@ -143,13 +149,15 @@ def _as_int(raw, key, low=None, high=None):
     return value
 
 
-def _as_float(raw, key):
+def _as_float(raw, key, positive=False):
     try:
         value = float(raw)
     except ValueError:
         raise ConfigError(f"field {key!r} must be a real number, got {raw!r}") from None
     if not np.isfinite(value):
         raise ConfigError(f"field {key!r} must be finite, got {raw!r}")
+    if positive and value <= 0:
+        raise ConfigError(f"field {key!r} must be > 0, got {value}")
     return value
 
 
@@ -160,42 +168,42 @@ def _as_float_list(raw, key):
     return [_as_float(s, key) for s in items]
 
 
-def _as_schemes(raw):
+def _as_schemes(raw, key):
     items = tuple(s.strip() for s in raw.split(",") if s.strip())
     if not items:
-        raise ConfigError("field 'schemes' must be a non-empty list")
+        raise ConfigError(f"field {key!r} must be a non-empty list")
     for name in items:
         if name not in SCHEMES:
             raise ConfigError(
-                f"field 'schemes' has unknown entry {name!r}; "
+                f"field {key!r} has unknown entry {name!r}; "
                 f"valid entries: {', '.join(SCHEMES)}"
             )
     if len(set(items)) != len(items):
-        raise ConfigError("field 'schemes' has duplicate entries")
+        raise ConfigError(f"field {key!r} has duplicate entries")
     return items
 
 
-_PLAIN_KEYS = {
-    "mode",
-    "K",
-    "M",
-    "l_s",
-    "snr_db_list",
-    "trials",
-    "seed",
-    "output_path",
-    "schemes",
-    "pairs",
-    "restarts",
-    "iterations",
-    "smoothing",
-}
+_COUNT = partial(_as_int, low=1)
 
-_REQUIRED = {
-    "design": ("K", "l_s", "snr_db_list", "seed", "output_path"),
-    "ser-sweep": ("K", "M", "l_s", "snr_db_list", "trials", "seed", "output_path"),
-    "kl-check": ("K", "M", "snr_db_list", "trials", "seed", "output_path"),
-    "pack-unitary": ("K", "l_s", "seed", "output_path"),
+# Every field: its parser, the modes that read it, and whether those modes
+# require it (optional ones keep their ExperimentConfig default).  A mode
+# rejects a field it does not read; `mode` itself is accepted everywhere.
+# The _LIBRARY_KEY entry stands for every unitary_library_<l_v> key, whose
+# l_v and path parse_config reads itself.
+_FIELDS = {
+    "K": (_COUNT, MODES, True),
+    "M": (_COUNT, ("ser-sweep", "kl-check"), True),
+    "l_s": (_COUNT, ("design", "ser-sweep", "pack-unitary"), True),
+    "snr_db_list": (_as_float_list, ("design", "ser-sweep", "kl-check"), True),
+    "trials": (_COUNT, ("ser-sweep", "kl-check"), True),
+    "seed": (partial(_as_int, low=0, high=2**64), MODES, True),
+    "output_path": (lambda raw, key: raw, MODES, True),
+    "schemes": (_as_schemes, ("ser-sweep",), False),
+    "pairs": (_COUNT, ("kl-check",), False),
+    "restarts": (_COUNT, ("pack-unitary",), False),
+    "iterations": (_COUNT, ("pack-unitary",), False),
+    "smoothing": (partial(_as_float, positive=True), ("pack-unitary",), False),
+    _LIBRARY_KEY: (None, ("design", "ser-sweep"), False),
 }
 
 
@@ -208,56 +216,38 @@ def parse_config(path, mode, seed_override=None, out_override=None):
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; valid modes: {', '.join(MODES)}")
     raw = _read_pairs(path)
-
-    library_paths = {}
-    for key in list(raw):
-        if key.startswith(_LIBRARY_KEY):
-            l_v = _as_int(key[len(_LIBRARY_KEY):], key, low=0)
-            library_paths[l_v] = raw.pop(key)
-    for key in raw:
-        if key not in _PLAIN_KEYS:
-            raise ConfigError(f"unknown field {key!r} in {path}")
-
-    if "mode" in raw and raw["mode"] != mode:
+    claimed = raw.pop("mode", mode)
+    if claimed != mode:
         raise ConfigError(
-            f"field 'mode' says {raw['mode']!r} but the command line says {mode!r}"
+            f"field 'mode' says {claimed!r} but the command line says {mode!r}"
         )
+    for key in raw:
+        name = _LIBRARY_KEY if key.startswith(_LIBRARY_KEY) else key
+        if name not in _FIELDS:
+            raise ConfigError(f"unknown field {key!r} in {path}")
+        modes = _FIELDS[name][1]
+        if mode not in modes:
+            raise ConfigError(
+                f"field {key!r} is not read by mode {mode}; "
+                f"it applies to {', '.join(modes)}"
+            )
+    library_paths = {
+        _as_int(key[len(_LIBRARY_KEY):], key, low=0): raw.pop(key)
+        for key in list(raw)
+        if key.startswith(_LIBRARY_KEY)
+    }
     if seed_override is not None:
         raw["seed"] = str(seed_override)
     if out_override is not None:
         raw["output_path"] = str(out_override)
-
-    for key in _REQUIRED[mode]:
-        if key not in raw:
+    for key, (_, modes, required) in _FIELDS.items():
+        if required and mode in modes and key not in raw:
             raise ConfigError(f"missing required field {key!r} for mode {mode}")
+    parsed = {
+        key: parse(raw[key], key) for key, (parse, *_) in _FIELDS.items() if key in raw
+    }
+    cfg = ExperimentConfig(mode=mode, **parsed)
 
-    cfg = ExperimentConfig(
-        mode=mode,
-        output_path=raw["output_path"],
-        seed=_as_int(raw["seed"], "seed", low=0, high=2**64),
-    )
-    if "K" in raw:
-        cfg.K = _as_int(raw["K"], "K", low=1)
-    if "M" in raw:
-        cfg.M = _as_int(raw["M"], "M", low=1)
-    if "l_s" in raw:
-        cfg.l_s = _as_int(raw["l_s"], "l_s", low=1)
-    if "snr_db_list" in raw:
-        cfg.snr_db_list = _as_float_list(raw["snr_db_list"], "snr_db_list")
-    if "trials" in raw:
-        cfg.trials = _as_int(raw["trials"], "trials", low=1)
-    if "schemes" in raw:
-        cfg.schemes = _as_schemes(raw["schemes"])
-    if "pairs" in raw:
-        cfg.pairs = _as_int(raw["pairs"], "pairs", low=1)
-    if "restarts" in raw:
-        cfg.restarts = _as_int(raw["restarts"], "restarts", low=1)
-    if "iterations" in raw:
-        cfg.iterations = _as_int(raw["iterations"], "iterations", low=1)
-    if "smoothing" in raw:
-        cfg.smoothing = _as_float(raw["smoothing"], "smoothing")
-        if cfg.smoothing <= 0:
-            raise ConfigError(f"field 'smoothing' must be > 0, got {cfg.smoothing}")
     if cfg.K == 1 and (
         mode in ("design", "pack-unitary")
         or (mode == "ser-sweep" and {"multilevel", "unitary"} & set(cfg.schemes))
@@ -421,14 +411,16 @@ def run_kl_check(cfg):
 
 
 def run_pack_unitary(cfg):
-    kwargs = {"K": cfg.K, "cardinality": 2**cfg.l_s, "seed": cfg.seed}
-    if cfg.restarts is not None:
-        kwargs["restarts"] = cfg.restarts
-    if cfg.iterations is not None:
-        kwargs["iterations"] = cfg.iterations
-    if cfg.smoothing is not None:
-        kwargs["smoothing"] = cfg.smoothing
-    uset = optimize_unitary(PackingConfig(**kwargs))
+    uset = optimize_unitary(
+        PackingConfig(
+            K=cfg.K,
+            cardinality=2**cfg.l_s,
+            restarts=cfg.restarts,
+            iterations=cfg.iterations,
+            smoothing=cfg.smoothing,
+            seed=cfg.seed,
+        )
+    )
     Path(cfg.output_path).parent.mkdir(parents=True, exist_ok=True)
     save_unitary(uset, cfg.output_path)
     print(

@@ -68,9 +68,14 @@ ALLOCATION_CSV_HEADER = "l_alpha,min_kl,r0,alpha0"
 
 @dataclass(frozen=True)
 class BisectionResult:
-    """Solution of the ratio equalization for one (sigma2, l_alpha, t)."""
+    """Solution of the ratio equalization for one (sigma2, l_alpha, t).
+
+    d = r0 - 1 is the solved quantity; r0 = 1 + d rounds it to the spacing
+    of doubles near 1, so levels are built from d.
+    """
 
     r0: float
+    d: float
     alpha0: float
     iterations: int
     residual_equality: float
@@ -114,6 +119,25 @@ def _geom_sum(d, n):
 def _base_amp_sq(d, n_levels, sigma2):
     # alpha_0^2 from the power constraint at ratio r = 1 + d
     return n_levels * (1.0 + sigma2) / _geom_sum(d, n_levels) - sigma2
+
+
+def _next_energy(e, d, sigma2):
+    """alpha_{i+1}^2 from alpha_i^2 on the chain with ratio r = 1 + d.
+
+    Steps alpha_{i+1}^2 = alpha_i^2 + d (sigma2 + alpha_i^2), so neither
+    1 + d (which rounds d away when d ~ 1e-6) nor the difference
+    (sigma2 + alpha_0^2) r^i - sigma2 (which cancels when sigma2 >> 1) is
+    ever formed.
+    """
+    return e + d * (sigma2 + e)
+
+
+def _level_energies(e0, d, sigma2, n_levels):
+    # alpha_i^2 for i < n_levels, each level one _next_energy step up
+    e = [e0]
+    for _ in range(n_levels - 1):
+        e.append(_next_energy(e[-1], d, sigma2))
+    return e
 
 
 def _bisect(holds, lo, hi):
@@ -160,7 +184,7 @@ def _balance(d, n_levels, t_v, sigma2):
     # Intra distance of the base level minus the inter distance of the two
     # lowest levels at ratio 1 + d; falls from positive to negative in d.
     e0 = max(_base_amp_sq(d, n_levels, sigma2), 0.0)
-    e1 = (sigma2 + e0) * (1.0 + d) - sigma2
+    e1 = _next_energy(e0, d, sigma2)
     return _kl_direction(e0, e0 * e0 * t_v, sigma2) - _kl_energy(e0, e1, sigma2)
 
 
@@ -204,16 +228,16 @@ def solve_bisection(sigma2, l_alpha, t_v):
             f"sigma2={sigma2!r}, l_alpha={l_alpha}, t_v={t_v!r}"
         )
     lo, hi, iterations = _bisect(lambda d: _balance(d, n, t_v, sigma2) > 0.0, 0.0, hi)
-    r = 1.0 + 0.5 * (lo + hi)
-    # r - 1 is exact, so alpha_0 is the one the power identity gives at r
-    alpha_sq = max(_base_amp_sq(r - 1.0, n, sigma2), 0.0)
-    shifted = (sigma2 + alpha_sq) * r ** np.arange(n)
+    d = 0.5 * (lo + hi)
+    alpha_sq = max(_base_amp_sq(d, n, sigma2), 0.0)
+    power = float(np.mean(_level_energies(alpha_sq, d, sigma2, n)))
     return BisectionResult(
-        r0=r,
+        r0=1.0 + d,
+        d=d,
         alpha0=math.sqrt(alpha_sq),
         iterations=iterations,
-        residual_equality=abs(_balance(r - 1.0, n, t_v, sigma2)),
-        residual_power=abs(float(np.mean(shifted - sigma2)) - 1.0),
+        residual_equality=abs(_balance(d, n, t_v, sigma2)),
+        residual_power=abs(power - 1.0),
     )
 
 
@@ -230,9 +254,7 @@ def build_level_set(res, sigma2, l_alpha):
         return LevelSet([1.0], sigma2)
     if not isinstance(res, BisectionResult):
         raise TypeError("res must be a BisectionResult")
-    n = 2**l_alpha
-    shifted = (sigma2 + res.alpha0**2) * res.r0 ** np.arange(n)
-    radicand = shifted - sigma2
+    radicand = np.array(_level_energies(res.alpha0**2, res.d, sigma2, 2**l_alpha))
     if np.any(radicand < 0.0):
         raise ArithmeticError(
             "negative squared amplitude; the bisection result does not "
@@ -260,11 +282,9 @@ def energy_only_levels(sigma2, l_alpha):
         return LevelSet([0.0, math.sqrt(2.0)], sigma2, ratio=r)
     # Same boundary as the feasibility ceiling of the general solver: the
     # ratio at which the power identity holds with a zero base level.
-    r = 1.0 + _feasible_ratio_ceiling(n, sigma2)
-    shifted = sigma2 * r ** np.arange(n)
-    amps = np.sqrt(np.maximum(shifted - sigma2, 0.0))
-    amps[0] = 0.0
-    return LevelSet(amps, sigma2, ratio=r)
+    d = _feasible_ratio_ceiling(n, sigma2)
+    amps = np.sqrt(_level_energies(0.0, d, sigma2, n))
+    return LevelSet(amps, sigma2, ratio=1.0 + d)
 
 
 def allocate_bits(l_s, sigma2, unitary_library):

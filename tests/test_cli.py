@@ -1,6 +1,7 @@
 """Config parsing, mode artifacts, exit codes, output reproducibility."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -97,6 +98,91 @@ class TestParseConfig:
                            out_override=tmp_path / "other.csv")
         assert cfg.seed == 99
         assert cfg.output_path.endswith("other.csv")
+
+
+# minimal valid configs, and a valid value for each field some mode reads
+BASE_FIELDS = {
+    "design": dict(K=2, l_s=1, snr_db_list="0", seed=1),
+    "ser-sweep": dict(K=2, M=4, l_s=1, snr_db_list="0", trials=10, seed=1),
+    "kl-check": dict(K=2, M=4, snr_db_list="0", trials=10, seed=1),
+    "pack-unitary": dict(K=2, l_s=1, seed=1),
+}
+FIELD_VALUES = dict(M=4, l_s=1, snr_db_list="0", trials=10, schemes="unitary",
+                    pairs=2, restarts=2, iterations=5, smoothing=8.0)
+UNREAD = [
+    ("design", "M"), ("design", "trials"), ("design", "schemes"),
+    ("design", "pairs"), ("design", "restarts"), ("design", "iterations"),
+    ("design", "smoothing"),
+    ("ser-sweep", "pairs"), ("ser-sweep", "restarts"), ("ser-sweep", "iterations"),
+    ("ser-sweep", "smoothing"),
+    ("kl-check", "l_s"), ("kl-check", "schemes"), ("kl-check", "restarts"),
+    ("kl-check", "iterations"), ("kl-check", "smoothing"),
+    ("kl-check", "unitary_library_1"),
+    ("pack-unitary", "M"), ("pack-unitary", "snr_db_list"), ("pack-unitary", "trials"),
+    ("pack-unitary", "schemes"), ("pack-unitary", "pairs"),
+    ("pack-unitary", "unitary_library_1"),
+]
+
+
+class TestFieldsPerMode:
+    """Each mode accepts `mode` and the fields it reads, nothing else."""
+
+    @pytest.mark.parametrize("mode,key", UNREAD, ids=[f"{m}-{k}" for m, k in UNREAD])
+    def test_unread_field_exits_2(self, tmp_path, capsys, mode, key):
+        book = tmp_path / "u1.txt"
+        book.write_text("2 2\n1 0 0 0\n0 0 1 0\n")
+        value = book if key == "unitary_library_1" else FIELD_VALUES[key]
+        cfg = write_config(tmp_path, mode=mode, output_path=tmp_path / "out.txt",
+                           **BASE_FIELDS[mode], **{key: value})
+        with pytest.raises(ConfigError, match=f"'{key}'.*{mode}"):
+            parse_config(cfg, mode)
+        assert main([mode, "--config", str(cfg)]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "out.txt").exists()
+
+    @pytest.mark.parametrize("mode", list(BASE_FIELDS))
+    def test_base_configs_are_complete(self, tmp_path, mode):
+        cfg = write_config(tmp_path, output_path="x", **BASE_FIELDS[mode])
+        assert parse_config(cfg, mode).mode == mode
+        for key in BASE_FIELDS[mode]:
+            fields = {k: v for k, v in BASE_FIELDS[mode].items() if k != key}
+            cfg = write_config(tmp_path, output_path="x", **fields)
+            with pytest.raises(ConfigError, match=f"missing required field '{key}'"):
+                parse_config(cfg, mode)
+
+    def test_mode_disagreement_is_reported_before_unread_fields(self, tmp_path):
+        cfg = write_config(tmp_path, mode="kl-check", output_path="x",
+                           **BASE_FIELDS["kl-check"])
+        with pytest.raises(ConfigError, match="field 'mode' says 'kl-check'"):
+            parse_config(cfg, "design")
+
+    def test_pack_unitary_knobs_default_to_the_packer_defaults(self, tmp_path):
+        bare = write_config(tmp_path, "bare.cfg", K=2, l_s=1, seed=4,
+                            output_path=tmp_path / "bare.txt")
+        explicit = write_config(
+            tmp_path, "explicit.cfg", K=2, l_s=1, seed=4,
+            restarts=klconst.unitary.DEFAULT_RESTARTS,
+            iterations=klconst.unitary.DEFAULT_ITERATIONS,
+            smoothing=klconst.unitary.DEFAULT_SMOOTHING,
+            output_path=tmp_path / "explicit.txt",
+        )
+        assert main(["pack-unitary", "--config", str(bare)]) == 0
+        assert main(["pack-unitary", "--config", str(explicit)]) == 0
+        assert (tmp_path / "bare.txt").read_bytes() == (
+            tmp_path / "explicit.txt"
+        ).read_bytes()
+
+    def test_readme_examples_parse(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+        modes = []
+        for i, block in enumerate(blocks):
+            mode = re.search(r"^mode = (\S+)$", block, flags=re.M).group(1)
+            path = tmp_path / f"readme{i}.cfg"
+            path.write_text(block)
+            assert parse_config(path, mode).mode == mode
+            modes.append(mode)
+        assert sorted(modes) == sorted(BASE_FIELDS)
 
 
 class TestDesignMode:

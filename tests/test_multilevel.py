@@ -307,7 +307,9 @@ class TestRegressionGrid:
     """Designs across the SNR range at whose ends an absolute stopping rule
     on the ratio broke: it never returned at high SNR (r ~ 1e5, coarser
     than the tolerance), and at low SNR (r - 1 << 1) the energy-only levels
-    missed the power constraint, as at -19.5 dB with K=2, l_s=6."""
+    missed the power constraint, as at -19.5 dB with K=2, l_s=6.  Below
+    -50 dB levels built from r = 1 + d, which rounds d ~ 1e-6 away, missed
+    it by 1e-9 to 3e-9 (K=2, l_s=8 from -52.5 dB; K=4, l_s 7-8 at -60 dB)."""
 
     def test_designs_hold_power_and_objective(self, rng, monkeypatch):
         iterations = []
@@ -321,10 +323,10 @@ class TestRegressionGrid:
         monkeypatch.setattr(multilevel, "solve_bisection", recording)
         libs = {K: random_library(K, 8, rng) for K in (2, 4)}
         cases = [
-            (K, l_s, -50.0 + 5.0 * i)
+            (K, l_s, -60.0 + 5.0 * i)
             for K in (2, 4)
             for l_s in range(1, 9)
-            for i in range(23)
+            for i in range(25)
         ]
         cases += [(2, 6, -19.5), (2, 6, -18.75)]
         for K, l_s, snr_db in cases:
