@@ -16,8 +16,12 @@ B^T is the Hermitian square root of s^* s^T + sigma2 I (E = ||s||^2; c
 equals (sqrt(sigma2 + E) - sigma) / E, written so that E = 0 needs no
 special case and gives B^T = sigma I), and
 R^H R has the law of Z^H Z for an M x K matrix Z of i.i.d. CN(0, 1)
-entries, so A^H A has the law of G.  simulate_block still draws a whole
-block Y for demos and tests.
+entries, so A^H A has the law of G.  The SER estimators form G from A.
+The KL estimator needs only the quadratic forms q(x) = x^T G x^* =
+||R B^T x^*||^2 of two fixed points, so it applies B^T to x^* in closed
+form, sigma x^* + c (s^T x^*) s^*, and runs the Bartlett draws over the two
+resulting K-vectors row by row; it never forms R, A or G.  simulate_block
+still draws a whole block Y for demos and tests.
 
 All estimators draw from counter-based Philox substreams keyed by
 (seed, substream index), with trials partitioned into fixed substreams of
@@ -244,6 +248,31 @@ def _bartlett(rng, n, M, K):
     return R
 
 
+def _bartlett_sq_norms(rng, ws, n, M):
+    """||R w||^2 for each fixed K-vector w in ws, as length-n arrays over
+    n Bartlett factors R drawn exactly as _bartlett draws them, without
+    forming R.
+
+    Row rho of R w is sqrt(gamma_rho) w_rho plus z w_col over the entries z
+    above the diagonal in that row.
+    """
+    K = ws[0].size
+    r = min(M, K)
+    roots = np.sqrt(rng.standard_gamma(M - np.arange(r), size=(n, r))).T
+    rows, cols = np.triu_indices(r, 1, K)
+    upper = _complex_normal(rng, (n, rows.size)).T
+    norms = []
+    for w in ws:
+        q = 0.0
+        for rho in range(r):
+            t = roots[rho] * w[rho]
+            for j in np.flatnonzero(rows == rho):
+                t = t + upper[j] * w[cols[j]]
+            q = q + (t.real**2 + t.imag**2)
+        norms.append(q)
+    return norms
+
+
 def _gram_root(rng, S, n, M, sigma2):
     """n factors A with A^H A distributed as the Gram matrix of a received
     block, for sent blocks S of shape (n, K), or (K,) for one point in all.
@@ -324,10 +353,11 @@ def kl_mc_estimate(s_i, s_k, params, samples, seed):
         q(s) = s^T G s^* = ||A s^*||^2,    ln f = q/(sigma2 (sigma2+E)) - M ln(sigma2+E)
 
     (plus point-independent terms that cancel), so no density is ever
-    exponentiated.  Only the Bartlett factor A of G = A^H A is drawn, with
-    the gamma diagonal first and the off-diagonal normals second (see the
-    module docstring); Y is never formed.  The expectation of the average
-    is kl_full(s_i, s_k).
+    exponentiated.  Each q is ||R w||^2 with w = B^T x^* computed in closed
+    form, and R's Bartlett draws (the gamma diagonal first, then the
+    off-diagonal normals; see the module docstring) are applied to w_i and
+    w_k row by row, so neither Y nor A = R B^T is ever formed.  The
+    expectation of the average is kl_full(s_i, s_k).
 
     Returns
     -------
@@ -349,13 +379,17 @@ def kl_mc_estimate(s_i, s_k, params, samples, seed):
     c_i = 1.0 / (sigma2 * (sigma2 + e_i))
     c_k = 1.0 / (sigma2 * (sigma2 + e_k))
     log_det_ratio = math.log(sigma2 + e_i) - math.log(sigma2 + e_k)
+    # B^T x^* with B^T = sigma I + c x_i^* x_i^T, one expression for both
+    # points, so that identical points give bitwise-identical vectors
+    sigma = math.sqrt(sigma2)
+    c = 1.0 / (math.sqrt(sigma2 + e_i) + sigma)
+    w_i, w_k = (
+        sigma * x.conj() + c * (x_i @ x.conj()) * x_i.conj() for x in (x_i, x_k)
+    )
     total = 0.0
     total_sq = 0.0
     for b, n in _substreams(samples):
-        rng = _stream(seed, b)
-        A = _gram_root(rng, x_i, n, params.M, sigma2)
-        q_i = np.sum(np.abs(A @ x_i.conj()) ** 2, axis=-1)
-        q_k = np.sum(np.abs(A @ x_k.conj()) ** 2, axis=-1)
+        q_i, q_k = _bartlett_sq_norms(_stream(seed, b), (w_i, w_k), n, params.M)
         ratio = (q_i * c_i - q_k * c_k) / params.M - log_det_ratio
         total += float(np.sum(ratio))
         total_sq += float(np.sum(ratio * ratio))

@@ -27,7 +27,7 @@ from klconst import (
     wilson_interval,
 )
 from klconst.detection import gram
-from klconst.linksim import _gram_root
+from klconst.linksim import _gram_root, _stream, _substreams
 
 # frozen with 40-digit arithmetic for z = 1.959963984540054
 WILSON_0_100_HIGH = 0.036993498206985676
@@ -36,6 +36,34 @@ WILSON_5_100 = (0.021543679154367973, 0.11175046923191914)
 
 def philox(seed):
     return np.random.Generator(np.random.Philox(key=np.array([seed, 0], np.uint64)))
+
+
+def random_unit_direction(rng, K):
+    v = rng.standard_normal(K) + 1j * rng.standard_normal(K)
+    return v / np.linalg.norm(v)
+
+
+def a_formed_kl(s_i, s_k, params, samples, seed):
+    """kl_mc_estimate as written with A = R B^T formed by _gram_root, on the
+    same substreams and with the same accumulation: (estimate, std_error)."""
+    sigma2, M = params.sigma2, params.M
+    x_i, x_k = s_i.vector(), s_k.vector()
+    e_i = float(np.real(np.vdot(x_i, x_i)))
+    e_k = float(np.real(np.vdot(x_k, x_k)))
+    c_i = 1.0 / (sigma2 * (sigma2 + e_i))
+    c_k = 1.0 / (sigma2 * (sigma2 + e_k))
+    log_det_ratio = math.log(sigma2 + e_i) - math.log(sigma2 + e_k)
+    total = total_sq = 0.0
+    for b, n in _substreams(samples):
+        A = _gram_root(_stream(seed, b), x_i, n, M, sigma2)
+        q_i = np.sum(np.abs(A @ x_i.conj()) ** 2, axis=-1)
+        q_k = np.sum(np.abs(A @ x_k.conj()) ** 2, axis=-1)
+        ratio = (q_i * c_i - q_k * c_k) / M - log_det_ratio
+        total += float(np.sum(ratio))
+        total_sq += float(np.sum(ratio * ratio))
+    mean = total / samples
+    var = max(total_sq - samples * mean * mean, 0.0) / (samples - 1)
+    return mean, math.sqrt(var / samples)
 
 
 @pytest.fixture(scope="module")
@@ -196,6 +224,25 @@ class TestKlMcEstimate:
         s = SignalPoint(1.2, canonical_direction(4))
         est = kl_mc_estimate(s, s, ChannelParams(M=2, K=4, sigma2=0.3), 3000, seed=1)
         assert est.estimate == 0.0
+
+    def test_identical_points_give_exact_zero_for_a_general_direction(self):
+        v = random_unit_direction(np.random.default_rng(35), 3)
+        s = SignalPoint(0.8, v)
+        est = kl_mc_estimate(s, s, ChannelParams(M=5, K=3, sigma2=0.3), 5000, seed=4)
+        assert est.estimate == 0.0
+        assert est.std_error == 0.0
+
+    @pytest.mark.parametrize("K, M", [(1, 3), (2, 1), (2, 4), (3, 2), (4, 8)])
+    def test_same_draws_as_the_a_formed_estimator(self, K, M):
+        # 5000 samples end on a partial substream (2048 + 2048 + 904)
+        rng = np.random.default_rng(100 * K + M)
+        s_i = SignalPoint(1.1, random_unit_direction(rng, K))
+        s_k = SignalPoint(0.6, random_unit_direction(rng, K))
+        params = ChannelParams(M=M, K=K, sigma2=0.35)
+        est = kl_mc_estimate(s_i, s_k, params, 5000, seed=31)
+        mean, se = a_formed_kl(s_i, s_k, params, 5000, seed=31)
+        assert est.estimate == pytest.approx(mean, rel=1e-12, abs=0.0)
+        assert est.std_error == pytest.approx(se, rel=1e-12, abs=0.0)
 
     def test_matches_closed_form_within_3_se(self, rng):
         v1 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
