@@ -17,9 +17,6 @@ from .core import (
     SignalPoint,
     UnitarySet,
     canonical_direction,
-    inter_level_kl,
-    intra_level_kl,
-    kl_decomposed,
     kl_full,
     load_constellation,
     min_kl_bruteforce,
@@ -52,7 +49,6 @@ from .unitary import (
     PackingConfig,
     default_library,
     load_unitary,
-    min_sq_chordal,
     optimize_unitary,
     save_unitary,
     welch_limit,
@@ -83,15 +79,11 @@ __all__ = [
     "energy_only_levels",
     "estimate_ser",
     "gram",
-    "inter_level_kl",
-    "intra_level_kl",
-    "kl_decomposed",
     "kl_full",
     "kl_mc_estimate",
     "load_constellation",
     "load_unitary",
     "min_kl_bruteforce",
-    "min_sq_chordal",
     "optimize_unitary",
     "pairwise_kl_matrix",
     "pilot_qam_run",

@@ -21,9 +21,9 @@ energies; the multi-level design machinery elsewhere in this package
 maximizes the minimum of these distances over a constellation.
 
 This module holds the domain containers (channel parameters, direction
-sets, amplitude level sets and their Cartesian product), the KL distance in
-full and decomposed form, a brute-force minimum-KL scan, and the plain-text
-serialization format shared with the codebook loader.
+sets, amplitude level sets and their Cartesian product), the KL distance
+with its direction and energy terms, a brute-force minimum-KL scan, and the
+plain-text serialization format shared with the codebook loader.
 """
 
 from __future__ import annotations
@@ -42,9 +42,6 @@ __all__ = [
     "FileFormatError",
     "canonical_direction",
     "kl_full",
-    "kl_decomposed",
-    "intra_level_kl",
-    "inter_level_kl",
     "min_kl_bruteforce",
     "save_constellation",
     "load_constellation",
@@ -367,14 +364,6 @@ class MultiLevelConstellation:
         n, j = divmod(index, self.directions.size)
         return SignalPoint(self.levels.amplitudes[n], self.directions.vectors[j])
 
-    def index_of(self, level, direction):
-        """Combined index of level n and direction j."""
-        if not 0 <= level < self.levels.size:
-            raise IndexError(f"level {level} out of range")
-        if not 0 <= direction < self.directions.size:
-            raise IndexError(f"direction {direction} out of range")
-        return level * self.directions.size + direction
-
     def point_vectors(self):
         """All transmit blocks stacked as a (size, K) array, index order.
 
@@ -437,60 +426,6 @@ def kl_full(s_i, s_k, sigma2):
     e_k = float(np.real(np.vdot(y, y)))
     cross = abs(np.vdot(x, y)) ** 2
     return _kl_direction(e_k, e_k * e_i - cross, sigma2) + _kl_energy(e_i, e_k, sigma2)
-
-
-def kl_decomposed(alpha_k, v_k, alpha_i, v_i, sigma2):
-    """Direction and energy terms of the KL distance, returned separately.
-
-    D1 = alpha_k^2 alpha_i^2 (1 - |v_k^T v_i^*|^2) / (sigma2 (sigma2 + alpha_k^2))
-    D2 = x - ln x - 1 with x = (sigma2 + alpha_i^2) / (sigma2 + alpha_k^2)
-
-    and D1 + D2 equals :func:`kl_full` of the reconstructed points.
-    """
-    sigma2 = _check_sigma2(sigma2)
-    pk = SignalPoint(alpha_k, v_k)
-    pi = SignalPoint(alpha_i, v_i)
-    if pk.K != pi.K:
-        raise ValueError(f"directions have different lengths {pk.K} and {pi.K}")
-    chordal = max(1.0 - abs(np.vdot(pi.direction, pk.direction)) ** 2, 0.0)
-    ak2 = pk.amplitude**2
-    ai2 = pi.amplitude**2
-    return (
-        _kl_direction(ak2, ak2 * ai2 * chordal, sigma2),
-        _kl_energy(ai2, ak2, sigma2),
-    )
-
-
-def intra_level_kl(alpha, min_sq_dist, sigma2):
-    """Minimum KL distance inside one level of amplitude alpha.
-
-    Equals alpha^4 * min_sq_dist / (sigma2 (sigma2 + alpha^2)); +inf when
-    the level holds a single direction (min_sq_dist = +inf, no pairs).
-    """
-    sigma2 = _check_sigma2(sigma2)
-    alpha = float(alpha)
-    if alpha < 0.0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha!r}")
-    if min_sq_dist < 0.0:
-        raise ValueError(f"min_sq_dist must be nonnegative, got {min_sq_dist!r}")
-    if math.isinf(min_sq_dist):
-        return math.inf
-    a2 = alpha * alpha
-    return _kl_direction(a2, a2 * a2 * min_sq_dist, sigma2)
-
-
-def inter_level_kl(alpha_n1, alpha_n2, sigma2):
-    """KL distance between the aligned-direction points of two levels.
-
-    Returns x - ln x - 1 with x = (sigma2 + alpha_n1^2)/(sigma2 + alpha_n2^2);
-    zero iff the amplitudes agree, and smaller low-to-high than high-to-low.
-    """
-    sigma2 = _check_sigma2(sigma2)
-    a1 = float(alpha_n1)
-    a2 = float(alpha_n2)
-    if a1 < 0.0 or a2 < 0.0:
-        raise ValueError("amplitudes must be nonnegative")
-    return _kl_energy(a1 * a1, a2 * a2, sigma2)
 
 
 def pairwise_kl_matrix(points, sigma2):

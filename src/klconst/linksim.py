@@ -31,11 +31,13 @@ Within a substream the draw order is: the message indices of every trial
 (none for the KL estimator); then the gamma diagonal entries, trial by
 trial and i = 0..r-1 within a trial; then the real parts of the entries
 above the diagonal, trial by trial and row by row within a trial, and
-their imaginary parts in the same order.  Schemes run on one seed share the
-message indices and base Bartlett draws of each substream (common random
-numbers), as far as their message sets have the same size and they send the
-same number of indices per trial; every message set here has a power-of-two
-size, for which the index draw uses a fixed share of the stream.
+their imaginary parts in the same order.  The Bartlett part of that order
+is written once, in _bartlett_draws, which the SER path and the KL kernel
+both call.  Schemes run on one seed share the message indices and base
+Bartlett draws of each substream (common random numbers), as far as their
+message sets have the same size and they send the same number of indices
+per trial; every message set here has a power-of-two size, for which the
+index draw uses a fixed share of the stream.
 
 Error counts get Wilson 95% intervals rather than the normal
 approximation, which stays honest when only a handful of block errors
@@ -56,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChannelParams, MultiLevelConstellation, SignalPoint, _check_sigma2
+from .core import ChannelParams, MultiLevelConstellation, SignalPoint
 from .detection import detect_two_stage_gram, gram
 
 __all__ = [
@@ -233,38 +235,41 @@ def _ser_from_counts(errors, trials, seed):
 # ---------------------------------------------------------------------------
 
 
-def _bartlett(rng, n, M, K):
-    """n Bartlett factors R, shape (n, min(M, K), K), with R^H R ~ W_K(M, I).
-
-    Draws in the order the module docstring gives: every gamma diagonal
-    entry first, then the normals above the diagonal.
+def _bartlett_draws(rng, n, M, K):
+    """Entries of n Bartlett factors R with r = min(M, K) rows, drawn in
+    the order the module docstring gives: the diagonal sqrt(gamma_i), shape
+    (n, r), then the m entries above it, shape (n, m), at (rows, cols).
     """
     r = min(M, K)
+    roots = np.sqrt(rng.standard_gamma(M - np.arange(r), size=(n, r)))
+    rows, cols = np.triu_indices(r, 1, K)
+    return roots, _complex_normal(rng, (n, rows.size)), rows, cols
+
+
+def _bartlett(rng, n, M, K):
+    """n Bartlett factors R, shape (n, min(M, K), K), with R^H R ~ W_K(M, I)."""
+    roots, upper, rows, cols = _bartlett_draws(rng, n, M, K)
+    r = roots.shape[1]
     R = np.zeros((n, r, K), dtype=np.complex128)
     diag = np.arange(r)
-    R[:, diag, diag] = np.sqrt(rng.standard_gamma(M - diag, size=(n, r)))
-    rows, cols = np.triu_indices(r, 1, K)
-    R[:, rows, cols] = _complex_normal(rng, (n, rows.size))
+    R[:, diag, diag] = roots
+    R[:, rows, cols] = upper
     return R
 
 
 def _bartlett_sq_norms(rng, ws, n, M):
     """||R w||^2 for each fixed K-vector w in ws, as length-n arrays over
-    n Bartlett factors R drawn exactly as _bartlett draws them, without
-    forming R.
+    n Bartlett factors R drawn by _bartlett_draws, without forming R.
 
     Row rho of R w is sqrt(gamma_rho) w_rho plus z w_col over the entries z
     above the diagonal in that row.
     """
-    K = ws[0].size
-    r = min(M, K)
-    roots = np.sqrt(rng.standard_gamma(M - np.arange(r), size=(n, r))).T
-    rows, cols = np.triu_indices(r, 1, K)
-    upper = _complex_normal(rng, (n, rows.size)).T
+    roots, upper, rows, cols = _bartlett_draws(rng, n, M, ws[0].size)
+    roots, upper = roots.T, upper.T
     norms = []
     for w in ws:
         q = 0.0
-        for rho in range(r):
+        for rho in range(roots.shape[0]):
             t = roots[rho] * w[rho]
             for j in np.flatnonzero(rows == rho):
                 t = t + upper[j] * w[cols[j]]

@@ -22,7 +22,7 @@ g falls and h rises along the feasible ratio range, so a plain bisection
 finds the balance point; the degenerate single-direction design instead
 pushes alpha_0 to zero and lets the power constraint fix the ratio.  One
 bisection helper serves both: it works on d = r - 1, which spans about
-1e-6 (very low SNR) to 1e7 (very high SNR), and stops when the bracket is
+1e-14 (-120 dB) to 1e5 and more (60 dB), and stops when the bracket is
 narrower than 1e-12 of its upper end, so the step count does not depend on
 the scale of d.  g and h are the core's direction and energy KL terms.  The
 bit split between levels and directions is chosen by building all l_s + 1
@@ -111,14 +111,26 @@ class DesignOutcome:
     per_allocation_table: list[AllocationRow] = field(default_factory=list)
 
 
-def _geom_sum(d, n):
-    # sum_{i<n} (1 + d)^i = ((1 + d)^n - 1)/d, accurate for small d > 0
-    return math.expm1(n * math.log1p(d)) / d
+def _excess(d, n):
+    # x = sum_{i<n} ((1 + d)^i - 1) = sum_{k>=1} C(n, k+1) d^k, the excess of
+    # sum_i r^i over n at r = 1 + d.  The closed form's subtraction magnifies
+    # rounding about 2/(n d) times, so for n d <= 1e-2 the positive series is
+    # summed to a 1e-17 term instead.
+    if n * d > 1e-2:
+        return (math.expm1(n * math.log1p(d)) - n * d) / d
+    term = total = 0.5 * n * (n - 1) * d
+    k = 1
+    while term > 1e-17 * total:
+        term *= (n - k - 1) / (k + 2) * d
+        total += term
+        k += 1
+    return total
 
 
 def _base_amp_sq(d, n_levels, sigma2):
     # alpha_0^2 from the power constraint at ratio r = 1 + d
-    return n_levels * (1.0 + sigma2) / _geom_sum(d, n_levels) - sigma2
+    x = _excess(d, n_levels)
+    return (n_levels - sigma2 * x) / (n_levels + x)
 
 
 def _next_energy(e, d, sigma2):
@@ -162,15 +174,14 @@ def _bisect(holds, lo, hi):
 def _feasible_ratio_ceiling(n_levels, sigma2):
     """Largest ratio r = 1 + d with a nonnegative base amplitude, as d.
 
-    The power constraint pins sum_{i} r^i = n (1 + sigma2)/(sigma2 +
-    alpha_0^2), so the ceiling solves sum r^i = n (1 + sigma2)/sigma2;
+    The power constraint pins (sigma2 + alpha_0^2)(n + x) = n (1 + sigma2)
+    for the excess x = _excess(d, n), so the ceiling solves sigma2 x = n;
     located by doubling d from 1 past the boundary and bisecting from 0.
     The returned d is the feasible end of the final bracket.
     """
-    target = n_levels * (1.0 + sigma2) / sigma2
 
     def holds(d):
-        return _geom_sum(d, n_levels) <= target
+        return sigma2 * _excess(d, n_levels) <= n_levels
 
     hi = 1.0
     while holds(hi):
@@ -244,14 +255,13 @@ def solve_bisection(sigma2, l_alpha, t_v):
 def build_level_set(res, sigma2, l_alpha):
     """Amplitudes of the designed levels from a bisection result.
 
-    alpha_i = sqrt((sigma2 + alpha_0^2) r^i - sigma2) for i = 0 .. 2^l_alpha - 1.
-    l_alpha = 0 is the trivial single level at amplitude 1.
+    alpha_0 is the result's base amplitude and each higher level is one
+    _next_energy step up, alpha_{i+1}^2 = alpha_i^2 + d (sigma2 + alpha_i^2)
+    with d = res.d, for 2^l_alpha levels; l_alpha must be >= 1.
     """
     sigma2 = _check_sigma2(sigma2)
-    if l_alpha < 0:
-        raise ValueError(f"l_alpha must be >= 0, got {l_alpha}")
-    if l_alpha == 0:
-        return LevelSet([1.0], sigma2)
+    if l_alpha < 1:
+        raise ValueError(f"l_alpha must be >= 1, got {l_alpha}")
     if not isinstance(res, BisectionResult):
         raise TypeError("res must be a BisectionResult")
     radicand = np.array(_level_energies(res.alpha0**2, res.d, sigma2, 2**l_alpha))
@@ -323,7 +333,7 @@ def allocate_bits(l_s, sigma2, unitary_library):
     for l_alpha in range(l_s + 1):
         t_v = unitary_library[l_s - l_alpha].min_sq_dist
         if l_alpha == 0:
-            levels = build_level_set(None, sigma2, 0)
+            levels = LevelSet([1.0], sigma2)
             r0, alpha0 = None, 1.0
         elif l_alpha == l_s:
             levels = energy_only_levels(sigma2, l_alpha)

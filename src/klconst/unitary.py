@@ -27,6 +27,7 @@ import numpy as np
 from .core import (
     UnitarySet,
     _min_sq_chordal,
+    _pow2_bits,
     canonical_direction,
     read_layout,
     write_layout,
@@ -35,7 +36,6 @@ from .linksim import _stream
 
 __all__ = [
     "PackingConfig",
-    "min_sq_chordal",
     "welch_limit",
     "optimize_unitary",
     "save_unitary",
@@ -81,9 +81,7 @@ class PackingConfig:
     def __post_init__(self):
         if self.K < 1:
             raise ValueError(f"K must be >= 1, got {self.K}")
-        n = self.cardinality
-        if n < 1 or (n & (n - 1)) != 0:
-            raise ValueError(f"cardinality must be a power of two, got {n}")
+        _pow2_bits(self.cardinality, "cardinality")
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         if self.iterations < 1:
@@ -92,35 +90,6 @@ class PackingConfig:
             raise ValueError(f"smoothing must be positive, got {self.smoothing}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must fit an unsigned 64-bit integer, got {self.seed}")
-
-
-def min_sq_chordal(vectors):
-    """Exact minimum squared chordal distance of a set of unit vectors.
-
-    Parameters
-    ----------
-    vectors : UnitarySet or (N, K) complex array
-        Unit-norm rows (validated within 1e-9 for raw arrays).
-
-    Returns
-    -------
-    float
-        min over distinct pairs of 1 - |v_k^T v_i^*|^2, or +inf for a
-        single vector.  Invariant under per-vector unit-modulus phases.
-    """
-    if isinstance(vectors, UnitarySet):
-        V = vectors.vectors
-    else:
-        V = np.asarray(vectors, dtype=complex)
-        if V.ndim != 2 or V.shape[0] < 1:
-            raise ValueError("vectors must form a non-empty (N, K) array")
-        norms = np.linalg.norm(V, axis=1)
-        worst = int(np.argmax(np.abs(norms - 1.0)))
-        if abs(norms[worst] - 1.0) > 1e-9:
-            raise ValueError(
-                f"vector {worst} has norm {norms[worst]!r}; inputs must be unit norm"
-            )
-    return _min_sq_chordal(V)
 
 
 def welch_limit(K, N):
@@ -202,7 +171,7 @@ def optimize_unitary(cfg):
     best_t = -1.0
     for lo in range(0, cfg.restarts, chunk):
         for V in _climb(starts[lo:lo + chunk], cfg.iterations, cfg.smoothing):
-            t = min_sq_chordal(V)
+            t = _min_sq_chordal(V)
             if t > best_t:
                 best_v, best_t = V, t
     return UnitarySet(best_v)
@@ -227,13 +196,11 @@ def library_codebook(K, l_v, seed=0, restarts=DEFAULT_RESTARTS,
                      iterations=DEFAULT_ITERATIONS):
     """The library's codebook of 2^l_v directions in C^K.
 
-    l_v = 0 gives the canonical single vector; larger sizes come from
-    :func:`optimize_unitary` with a per-size seed derived from the given
+    Every size comes from :func:`optimize_unitary` (l_v = 0 is its
+    canonical single vector) with a per-size seed derived from the given
     one (splitmix increment), so each size is reproducible on its own and
     equals the matching entry of :func:`default_library`.
     """
-    if l_v == 0:
-        return UnitarySet(canonical_direction(K)[None, :])
     cfg = PackingConfig(
         K=K,
         cardinality=2**l_v,

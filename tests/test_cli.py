@@ -1,5 +1,7 @@
 """Config parsing, mode artifacts, exit codes, output reproducibility."""
 
+import importlib
+import importlib.util
 import os
 import re
 import subprocess
@@ -184,6 +186,13 @@ class TestFieldsPerMode:
             modes.append(mode)
         assert sorted(modes) == sorted(BASE_FIELDS)
 
+    def test_readme_python_blocks_run(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+        assert blocks
+        for block in blocks:
+            exec(compile(block, "README.md", "exec"), {})
+
 
 class TestDesignMode:
     def test_emits_summary_table_and_constellations(self, tmp_path, design_cfg):
@@ -213,6 +222,18 @@ class TestDesignMode:
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "high.csv").read_text().splitlines()[1].startswith("50,")
+
+    def test_far_below_0_db_holds_unit_power(self, tmp_path):
+        # below -67.5 dB the base amplitude and the ratio ceiling cancelled
+        # to errors of order eps * sigma2, and this design exited 3
+        cfg = write_config(tmp_path, K=2, l_s=2, snr_db_list="-100, -80", seed=0,
+                           output_path=tmp_path / "low.csv")
+        assert main(["design", "--config", str(cfg)]) == 0
+        summary = (tmp_path / "low.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in summary[1:]] == ["-100", "-80"]
+        for idx in range(2):
+            c = load_constellation(tmp_path / f"low_point{idx:02d}_constellation.txt")
+            assert abs(np.mean(c.levels.amplitudes**2) - 1.0) <= 1e-9
 
     def test_rerun_is_byte_identical(self, tmp_path, design_cfg):
         main(["design", "--config", str(design_cfg)])
@@ -244,7 +265,8 @@ class TestLazyLibrary:
         cfg = write_config(tmp_path, K=2, l_s=2, snr_db_list="0, 10", seed=5,
                            output_path=tmp_path / "design.csv", **books)
         assert main(["design", "--config", str(cfg)]) == 0
-        assert pack_calls == []
+        # only the unsupplied l_v = 0 entry, the canonical single vector
+        assert pack_calls == [1]
 
     def test_pilot_only_sweep_packs_nothing(self, tmp_path, pack_calls):
         cfg = write_config(tmp_path, K=2, M=4, l_s=2, snr_db_list="0", trials=100,
@@ -258,7 +280,7 @@ class TestLazyLibrary:
         path = write_config(tmp_path, K=2, l_s=2, snr_db_list="0", seed=7,
                             output_path="x.csv", unitary_library_1=book)
         lib = _build_library(parse_config(path, "design"), range(3))
-        assert pack_calls == [4]
+        assert pack_calls == [1, 4]
         reference = default_library(2, 2, seed=7)
         np.testing.assert_array_equal(lib[2].vectors, reference[2].vectors)
         np.testing.assert_array_equal(lib[0].vectors, reference[0].vectors)
@@ -443,3 +465,16 @@ class TestExitCodes:
         )
         assert main(["design", "--config", str(cfg)]) == 3
         assert "numeric failure" in capsys.readouterr().err
+
+
+class TestBenchmarkHooks:
+    def test_traced_names_exist(self):
+        # perfbench/run.py --trace 1 wraps each (module, name) found by getattr
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+        spec = importlib.util.spec_from_file_location("perfbench_child", path)
+        child = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(child)
+        assert child.TRACED
+        for module, name in child.TRACED:
+            fn = getattr(importlib.import_module(f"klconst.{module}"), name, None)
+            assert callable(fn), f"klconst.{module}.{name}"

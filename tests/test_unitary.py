@@ -12,7 +12,6 @@ from klconst import (
     UnitarySet,
     default_library,
     load_unitary,
-    min_sq_chordal,
     optimize_unitary,
     save_unitary,
     welch_limit,
@@ -37,25 +36,25 @@ def tetrahedral_set():
 
 class TestMinSqChordal:
     def test_orthonormal_pair(self):
-        assert min_sq_chordal(np.eye(2, dtype=complex)) == 1.0
+        assert UnitarySet(np.eye(2, dtype=complex)).min_sq_dist == 1.0
 
     def test_tetrahedral_equiangular_value(self):
         # frozen oracle: 1 - 1/3, exact by construction
-        assert min_sq_chordal(tetrahedral_set()) == pytest.approx(
+        assert tetrahedral_set().min_sq_dist == pytest.approx(
             2.0 / 3.0, abs=1e-14
         )
 
     def test_phase_invariance(self, rng):
         raw = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
         V = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-        before = min_sq_chordal(V)
+        before = UnitarySet(V).min_sq_dist
         phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=8))
-        after = min_sq_chordal(phases[:, None] * V)
+        after = UnitarySet(phases[:, None] * V).min_sq_dist
         assert after == pytest.approx(before, abs=1e-12)
 
     def test_rejects_non_unit_vectors(self):
         with pytest.raises(ValueError):
-            min_sq_chordal(np.array([[0.5 + 0j, 0.0], [0.0, 1.0]]))
+            UnitarySet(np.array([[0.5 + 0j, 0.0], [0.0, 1.0]]))
 
 
 class TestWelchLimit:
@@ -72,7 +71,7 @@ class TestWelchLimit:
             N = 2 ** int(rng.integers(1, 5))
             raw = rng.standard_normal((N, K)) + 1j * rng.standard_normal((N, K))
             V = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-            assert min_sq_chordal(V) <= welch_limit(K, N) + 1e-12
+            assert UnitarySet(V).min_sq_dist <= welch_limit(K, N) + 1e-12
 
 
 class TestOptimizeUnitary:
@@ -146,7 +145,7 @@ class TestBatchedRestarts:
             _climb(restart_start(cfg.seed, r, 128, 2)[None], 40, cfg.smoothing)[0]
             for r in range(9)
         ]
-        scores = [min_sq_chordal(V) for V in singles]
+        scores = [UnitarySet(V).min_sq_dist for V in singles]
         best = scores.index(max(scores))
         assert out.vectors.tobytes() == singles[best].tobytes()
         assert out.min_sq_dist == scores[best]
@@ -225,8 +224,9 @@ class TestCodebookFiles:
         path = tmp_path / "ext.txt"
         save_unitary(UnitarySet(V), path)
         back = load_unitary(path)
-        assert back.min_sq_dist == pytest.approx(min_sq_chordal(back.vectors), abs=0)
-        assert back.min_sq_dist == pytest.approx(min_sq_chordal(V), abs=1e-12)
+        recomputed = UnitarySet(back.vectors).min_sq_dist
+        assert back.min_sq_dist == pytest.approx(recomputed, abs=0)
+        assert back.min_sq_dist == pytest.approx(UnitarySet(V).min_sq_dist, abs=1e-12)
 
     def test_half_norm_vector_rejected_with_line(self, tmp_path):
         path = tmp_path / "bad.txt"
