@@ -91,6 +91,7 @@ __all__ = [
     "save_constellation",
     "save_unitary",
     "simulate_block",
+    "solve_bisection",
     "square_qam_alphabet",
     "welch_limit",
     "wilson_interval",

@@ -24,10 +24,11 @@ pack-unitary
 Config files are flat `key = value` text; a line whose first non-blank
 character is `#` is a comment.  Lists are comma-separated (snr_db_list =
 0, 5, 10).  A mode accepts `mode` and the fields it reads (_FIELDS); any
-other field is a config error.  Direction codebooks are built in-process
-by default; unitary_library_<l_v> keys (design and ser-sweep) point
-individual sizes at codebook files instead.  Only the sizes a run uses
-and no file supplies are packed.
+other field is a config error.  Direction codebooks are packed by
+default (all sizes of a run together, see klconst.unitary);
+unitary_library_<l_v> keys (design and ser-sweep) point individual sizes
+at codebook files instead.  Only the sizes a run uses and no file
+supplies are packed.
 
 Exit codes: 0 success, 2 config problem, 3 numeric failure.  Identical
 config and seed give byte-identical output files.
@@ -67,7 +68,7 @@ from .unitary import (
     DEFAULT_RESTARTS,
     DEFAULT_SMOOTHING,
     PackingConfig,
-    library_codebook,
+    library_codebooks,
     load_unitary,
     optimize_unitary,
     save_unitary,
@@ -285,7 +286,8 @@ def _build_library(cfg, sizes):
     """Direction codebooks for the direction-bit counts in sizes.
 
     Every unitary_library_<l_v> file is validated first; sizes that no file
-    supplies are then packed exactly as default_library would pack them.
+    supplies are then packed together, exactly as default_library would
+    pack them.
     """
     lib = {}
     for l_v, path in cfg.unitary_library_paths.items():
@@ -308,9 +310,9 @@ def _build_library(cfg, sizes):
                 f"vectors, expected {2 ** l_v}"
             )
         lib[l_v] = uset
-    for l_v in sizes:
-        if l_v not in lib:
-            lib[l_v] = library_codebook(cfg.K, l_v, seed=cfg.seed)
+    lib.update(
+        library_codebooks(cfg.K, [l_v for l_v in sizes if l_v not in lib], seed=cfg.seed)
+    )
     return lib
 
 

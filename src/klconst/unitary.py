@@ -9,17 +9,22 @@ a max-min line-packing objective on the complex projective space.  The
 problem is non-smooth, so the optimizer here climbs a temperature-sharpened
 soft-min surrogate with per-step renormalization and random restarts; the
 reported distance of the returned set is always the exact minimum, never
-the surrogate.  The restarts of one packing climb together as an (R, N, K)
-stack, one numpy call per step for all of them, in chunks that bound each
-per-step (R, N, N) array to _CHUNK_ENTRIES entries.  Each restart only
-ever touches its own slice, so it ends on the same bits as a lone climb,
-and the chunking cannot change a codebook; ties between restarts still go
-to the earliest.  External codebooks (built by any other tool) can be
-loaded from the shared plain-text format instead.
+the surrogate.  The restarts of one packing climb together as (R, N, K)
+stacks, one numpy call per step for all of them, and each stack bounds its
+per-step (R, N, N) array to _CHUNK_ENTRIES entries.  Every stack of a run,
+across all the codebook sizes it packs, is climbed on a pool of forked
+worker processes, one per available CPU; with one CPU, one stack, nothing
+to climb, or no fork on the platform, the stacks are climbed in-process
+and multiprocessing is never imported.  Each restart only ever touches its
+own slice, so it ends on the same bits as a lone climb, and neither the
+stacking nor the worker count can change a codebook; ties between restarts
+still go to the earliest.  External codebooks (built by any other tool)
+can be loaded from the shared plain-text format instead.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +45,7 @@ __all__ = [
     "optimize_unitary",
     "save_unitary",
     "load_unitary",
-    "library_codebook",
+    "library_codebooks",
     "default_library",
 ]
 
@@ -55,7 +60,9 @@ STEP_DECAY = 1.0 / 30.0
 
 # Restarts are climbed together in stacks whose per-step (R, N, N) arrays
 # hold at most this many entries, one restart when N^2 alone exceeds it.
-_CHUNK_ENTRIES = 2**16
+# 2^14 splits the default 8 restarts at N = 64 into two stacks of 4, so
+# the largest size of a library spreads over two workers.
+_CHUNK_ENTRIES = 2**14
 
 DEFAULT_RESTARTS = 8
 DEFAULT_ITERATIONS = 1500
@@ -144,37 +151,87 @@ def _climb(V, iterations, smoothing):
     return V
 
 
+def _cpu_count():
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _pack(cfgs):
+    """Best packing of each config, climbing every restart stack of the run.
+
+    Restart r of a config draws its start from a counter-based stream keyed
+    (cfg.seed, r).  Each config's starts are cut into stacks of at most
+    max(1, _CHUNK_ENTRIES // N^2) restarts.  The stacks of all configs are
+    climbed largest first on a fork-context process pool with one worker
+    per available CPU, at most one per stack; they are climbed in-process
+    instead when there is one CPU or one stack, when no config needs a
+    climb (N = 1 is the canonical single vector), or when the platform
+    cannot fork.  Fork rather than spawn: a spawned worker would import
+    numpy and this package again, which costs much of what the pool saves;
+    the executor forks all its workers before it starts its own thread.
+    Workers keep the BLAS threading they inherit, so a multi-threaded BLAS
+    oversubscribes the CPUs on stacks large enough for BLAS to thread.
+    Each config's results are then scored in restart order, and equal exact
+    scores keep the earliest restart's set, so the returned UnitarySets do
+    not depend on the stacking, the worker count or the finishing order.
+    """
+    stacks = []  # (config index, stack of starts)
+    for i, cfg in enumerate(cfgs):
+        n, K = cfg.cardinality, cfg.K
+        if n == 1:
+            continue
+        starts = np.empty((cfg.restarts, n, K), dtype=complex)
+        for restart in range(cfg.restarts):
+            rng = _stream(cfg.seed, restart)
+            starts[restart] = rng.standard_normal((n, K)) + 1j * rng.standard_normal((n, K))
+        starts /= np.linalg.norm(starts, axis=2, keepdims=True)
+        chunk = max(1, _CHUNK_ENTRIES // n**2)
+        stacks += [(i, starts[lo:lo + chunk]) for lo in range(0, cfg.restarts, chunk)]
+
+    jobs = [(V, cfgs[i].iterations, cfgs[i].smoothing) for i, V in stacks]
+    # largest first; one step of an (R, N, K) stack costs about R N^2 K
+    order = sorted(
+        range(len(jobs)),
+        key=lambda j: jobs[j][0].size * jobs[j][0].shape[1] * jobs[j][1],
+        reverse=True,
+    )
+    workers = min(_cpu_count(), len(jobs))
+    if workers > 1 and hasattr(os, "fork"):
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork")
+        ) as pool:
+            futures = {j: pool.submit(_climb, *jobs[j]) for j in order}
+            climbed = {j: future.result() for j, future in futures.items()}
+    else:
+        climbed = {j: _climb(*jobs[j]) for j in order}
+
+    best_v = [canonical_direction(cfg.K)[None, :] for cfg in cfgs]
+    best_t = [-1.0] * len(cfgs)
+    for j, (i, _) in enumerate(stacks):
+        for V in climbed[j]:
+            t = _min_sq_chordal(V)
+            if t > best_t[i]:
+                best_v[i], best_t[i] = V, t
+    return [UnitarySet(V) for V in best_v]
+
+
 def optimize_unitary(cfg):
     """Best packing over cfg.restarts independent soft-min climbs.
 
-    Restart r draws its start from a counter-based stream keyed
-    (cfg.seed, r).  The starts are climbed as stacks of at most
-    max(1, _CHUNK_ENTRIES // N^2) restarts, which bounds each per-step
-    (R, N, N) array; since a start climbs to the same bits in any stack,
-    the chunking cannot change the result.  Results are scored in restart
-    order and equal exact scores keep the earliest restart's set, so the
-    result does not depend on execution order.  The returned UnitarySet
-    carries the exact recomputed distance.
+    The restarts are climbed as stacks on the packing pool described at
+    :func:`_pack`, in parallel when more than one CPU is available and
+    in-process otherwise; the result is bitwise the same at any worker
+    count.  Equal exact scores keep the earliest restart's set.  The
+    returned UnitarySet carries the exact recomputed distance.
     """
     if not isinstance(cfg, PackingConfig):
         raise TypeError("cfg must be a PackingConfig")
-    n, K = cfg.cardinality, cfg.K
-    if n == 1:
-        return UnitarySet(canonical_direction(K)[None, :])
-    starts = np.empty((cfg.restarts, n, K), dtype=complex)
-    for restart in range(cfg.restarts):
-        rng = _stream(cfg.seed, restart)
-        starts[restart] = rng.standard_normal((n, K)) + 1j * rng.standard_normal((n, K))
-    starts /= np.linalg.norm(starts, axis=2, keepdims=True)
-    chunk = max(1, _CHUNK_ENTRIES // n**2)
-    best_v = None
-    best_t = -1.0
-    for lo in range(0, cfg.restarts, chunk):
-        for V in _climb(starts[lo:lo + chunk], cfg.iterations, cfg.smoothing):
-            t = _min_sq_chordal(V)
-            if t > best_t:
-                best_v, best_t = V, t
-    return UnitarySet(best_v)
+    return _pack([cfg])[0]
 
 
 def save_unitary(uset, path):
@@ -192,32 +249,38 @@ def load_unitary(path):
     return read_layout(path, "K N", lambda fields, amps, V: UnitarySet(V))
 
 
-def library_codebook(K, l_v, seed=0, restarts=DEFAULT_RESTARTS,
-                     iterations=DEFAULT_ITERATIONS):
-    """The library's codebook of 2^l_v directions in C^K.
+def library_codebooks(K, l_vs, seed=0, restarts=DEFAULT_RESTARTS,
+                      iterations=DEFAULT_ITERATIONS):
+    """The library's codebooks of 2^l_v directions in C^K, one per l_v.
 
-    Every size comes from :func:`optimize_unitary` (l_v = 0 is its
-    canonical single vector) with a per-size seed derived from the given
-    one (splitmix increment), so each size is reproducible on its own and
-    equals the matching entry of :func:`default_library`.
+    Returns {l_v: UnitarySet}.  Each size is packed as
+    :func:`optimize_unitary` would pack it (l_v = 0 is its canonical single
+    vector) with a per-size seed derived from the given one (splitmix
+    increment), so each size is reproducible on its own and equals the
+    matching entry of :func:`default_library`, whichever other sizes are
+    asked for.  All sizes are climbed together on one packing pool (see
+    :func:`_pack`): forked workers, one per available CPU, or in-process
+    with one CPU or where fork is missing; the codebooks are the same
+    either way.
     """
-    cfg = PackingConfig(
-        K=K,
-        cardinality=2**l_v,
-        restarts=restarts,
-        iterations=iterations,
-        seed=(seed + l_v * 0x9E3779B97F4A7C15) % 2**64,
-    )
-    return optimize_unitary(cfg)
+    l_vs = list(l_vs)
+    cfgs = [
+        PackingConfig(
+            K=K,
+            cardinality=2**l_v,
+            restarts=restarts,
+            iterations=iterations,
+            seed=(seed + l_v * 0x9E3779B97F4A7C15) % 2**64,
+        )
+        for l_v in l_vs
+    ]
+    return dict(zip(l_vs, _pack(cfgs)))
 
 
 def default_library(K, l_s, seed=0, restarts=DEFAULT_RESTARTS,
                     iterations=DEFAULT_ITERATIONS):
-    """Packed direction sets for every direction-bit count 0..l_s, each
-    from :func:`library_codebook`, so the whole library is reproducible."""
+    """Packed direction sets for every direction-bit count 0..l_s, from
+    :func:`library_codebooks`, so the whole library is reproducible."""
     if l_s < 0:
         raise ValueError(f"l_s must be >= 0, got {l_s}")
-    return {
-        l_v: library_codebook(K, l_v, seed, restarts, iterations)
-        for l_v in range(l_s + 1)
-    }
+    return library_codebooks(K, range(l_s + 1), seed, restarts, iterations)

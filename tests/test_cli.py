@@ -246,13 +246,13 @@ class TestLazyLibrary:
     @pytest.fixture()
     def pack_calls(self, monkeypatch):
         calls = []
-        real = klconst.unitary.optimize_unitary
+        real = klconst.unitary._pack
 
-        def counting(cfg):
-            calls.append(cfg.cardinality)
-            return real(cfg)
+        def counting(cfgs):
+            calls.extend(cfg.cardinality for cfg in cfgs)
+            return real(cfgs)
 
-        monkeypatch.setattr(klconst.unitary, "optimize_unitary", counting)
+        monkeypatch.setattr(klconst.unitary, "_pack", counting)
         return calls
 
     def test_supplied_sizes_are_not_packed(self, tmp_path, pack_calls):
@@ -294,6 +294,33 @@ class TestLazyLibrary:
         with pytest.raises(ConfigError, match="exceeds l_s"):
             _build_library(parse_config(path, "design"), range(3))
         assert pack_calls == []
+
+    @pytest.mark.parametrize("mode", ["design", "kl-check"])
+    def test_runs_without_a_climb_never_import_multiprocessing(self, tmp_path, mode):
+        # the packing pool's import and fork would only add set-up time here
+        if mode == "design":
+            books = {f"unitary_library_{l_v}": tmp_path / f"u{l_v}.txt" for l_v in (1, 2)}
+            books["unitary_library_1"].write_text("2 2\n1 0 0 0\n0 0 1 0\n")
+            klconst.unitary.save_unitary(
+                default_library(2, 2, restarts=1, iterations=20)[2],
+                books["unitary_library_2"],
+            )
+            cfg = write_config(tmp_path, K=2, l_s=2, snr_db_list="0", seed=5,
+                               output_path=tmp_path / "d.csv", **books)
+        else:
+            cfg = write_config(tmp_path, K=2, M=4, snr_db_list="0", trials=200,
+                               pairs=2, seed=1, output_path=tmp_path / "kl.csv")
+        script = (
+            "import sys; from klconst.cli import main; code = main(sys.argv[1:]); "
+            "print(code, 'multiprocessing' in sys.modules)"
+        )
+        src = str(Path(klconst.unitary.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", script, mode, "--config", str(cfg)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.stdout.split() == ["0", "False"], proc.stderr
 
 
 class TestSerSweepMode:

@@ -1,12 +1,14 @@
 """Domain types, KL closed forms, and the text serialization."""
 
 import math
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import klconst
 from klconst import (
     ChannelParams,
     FileFormatError,
@@ -52,6 +54,16 @@ def inter(alpha_1, alpha_2, sigma2):
 def random_point(rng, K, amp_low=0.0, amp_high=1.6):
     v = unit(rng.standard_normal(K) + 1j * rng.standard_normal(K))
     return SignalPoint(rng.uniform(amp_low, amp_high), v)
+
+
+def test_package_exports_every_public_attribute():
+    public = {
+        name
+        for name, value in vars(klconst).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert set(klconst.__all__) == public | {"__version__"}
+    assert len(klconst.__all__) == len(set(klconst.__all__))
 
 
 @pytest.fixture()

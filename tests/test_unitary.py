@@ -1,6 +1,7 @@
 """Direction packing: chordal distances, Welch bound, optimizer, files."""
 
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -138,11 +139,11 @@ class TestBatchedRestarts:
             assert stacked[r].tobytes() == alone[0].tobytes()
 
     def test_chunked_restarts_return_the_earliest_best_single_climb(self):
-        # N = 128 climbs in stacks of 4, 4 and 1 restarts
-        cfg = PackingConfig(K=2, cardinality=128, restarts=9, iterations=40)
+        # N = 64 climbs in stacks of 4, 4 and 1 restarts
+        cfg = PackingConfig(K=2, cardinality=64, restarts=9, iterations=40)
         out = optimize_unitary(cfg)
         singles = [
-            _climb(restart_start(cfg.seed, r, 128, 2)[None], 40, cfg.smoothing)[0]
+            _climb(restart_start(cfg.seed, r, 64, 2)[None], 40, cfg.smoothing)[0]
             for r in range(9)
         ]
         scores = [UnitarySet(V).min_sq_dist for V in singles]
@@ -154,6 +155,7 @@ class TestBatchedRestarts:
     def chunks(self, monkeypatch):
         """Record (R, N) of every _climb call and return its input."""
         seen = []
+        monkeypatch.setattr(klconst.unitary, "_cpu_count", lambda: 1)
 
         def recording(V, iterations, smoothing):
             seen.append(V.shape[:2])
@@ -163,19 +165,19 @@ class TestBatchedRestarts:
         return seen
 
     @pytest.mark.parametrize(
-        "N,sizes", [(2, [9]), (64, [9]), (128, [4, 4, 1]), (256, [1] * 9), (512, [1] * 9)]
+        "N,sizes", [(2, [9]), (64, [4, 4, 1]), (128, [1] * 9), (256, [1] * 9), (512, [1] * 9)]
     )
     def test_chunks_stay_within_the_entry_budget(self, chunks, N, sizes):
         optimize_unitary(PackingConfig(K=2, cardinality=N, restarts=9, iterations=1))
         assert [R for R, _ in chunks] == sizes
         for R, n in chunks:
             assert n == N
-            assert R == 1 or R * n * n <= 2**16
+            assert R == 1 or R * n * n <= klconst.unitary._CHUNK_ENTRIES
 
     def test_equal_scores_keep_the_earliest_restart(self, monkeypatch):
         # restart r returns the identity with its columns rolled by r: an
         # orthonormal set (distance exactly 1) of its own, across chunks of
-        # 4, 4 and 1
+        # 4, 4 and 1, climbed in-process so that the patched _climb runs
         offset = [0]
 
         def rolled(V, iterations, smoothing):
@@ -185,10 +187,62 @@ class TestBatchedRestarts:
             return out
 
         monkeypatch.setattr(klconst.unitary, "_climb", rolled)
-        out = optimize_unitary(PackingConfig(K=128, cardinality=128, restarts=9))
+        monkeypatch.setattr(klconst.unitary, "_cpu_count", lambda: 1)
+        out = optimize_unitary(PackingConfig(K=64, cardinality=64, restarts=9))
         assert offset[0] == 9
         assert out.min_sq_dist == 1.0
-        np.testing.assert_array_equal(out.vectors, np.eye(128))
+        np.testing.assert_array_equal(out.vectors, np.eye(64))
+
+
+# Packing runs with their number of restart stacks: seven for a library up
+# to N = 64 (N = 64 splits in two), nine for nine restarts at N >= 128.
+POOL_CASES = {
+    "library-K2": (lambda: list(default_library(2, 6, iterations=60).values()), 7),
+    "library-K3": (lambda: list(default_library(3, 6, iterations=60).values()), 7),
+    "N128": (lambda: [optimize_unitary(
+        PackingConfig(K=2, cardinality=128, restarts=9, iterations=10))], 9),
+    "N256": (lambda: [optimize_unitary(
+        PackingConfig(K=2, cardinality=256, restarts=9, iterations=3))], 9),
+}
+
+
+class TestPackingPool:
+    @pytest.fixture()
+    def submits(self, monkeypatch):
+        """Record the (R, N, K) shape of every stack handed to a worker."""
+        seen = []
+        real = ProcessPoolExecutor.submit
+
+        def counting(pool, fn, V, *args):
+            seen.append(V.shape)
+            return real(pool, fn, V, *args)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", counting)
+        return seen
+
+    @pytest.mark.parametrize("case", sorted(POOL_CASES))
+    def test_any_worker_count_climbs_the_same_bits(self, monkeypatch, submits, case):
+        pack, stacks = POOL_CASES[case]
+        runs = {}
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(klconst.unitary, "_cpu_count", lambda w=workers: w)
+            submits.clear()
+            runs[workers] = pack()
+            assert len(submits) == (0 if workers == 1 else stacks)
+            # largest first: here that is the largest N first
+            assert [n for _, n, _ in submits] == sorted(
+                (n for _, n, _ in submits), reverse=True
+            )
+        for workers in (2, 3):
+            assert [u.vectors.tobytes() for u in runs[workers]] == [
+                u.vectors.tobytes() for u in runs[1]
+            ]
+
+    def test_no_fork_climbs_in_process(self, monkeypatch, submits):
+        monkeypatch.setattr(klconst.unitary, "_cpu_count", lambda: 2)
+        monkeypatch.delattr(klconst.unitary.os, "fork")
+        POOL_CASES["N128"][0]()
+        assert submits == []
 
 
 class TestDefaultLibrary:
