@@ -14,11 +14,11 @@ from klconst import (
     ChannelParams,
     LevelSet,
     MultiLevelConstellation,
+    PilotQamScheme,
     allocate_bits,
     default_library,
     estimate_ser,
     pilot_qam_run,
-    pilot_qam_scheme,
 )
 
 K, M, L_S = 2, 64, 6
@@ -26,7 +26,7 @@ TRIALS = 20_000
 SEED = 99
 
 library = default_library(K, L_S, seed=0)
-scheme = pilot_qam_scheme(K, L_S)
+scheme = PilotQamScheme(K, L_S)
 
 print(f"K={K}, M={M}, {L_S} bits per block, {TRIALS} trials per point")
 print("\n  SNR dB   multilevel (l_a)     unitary only         pilot + QAM")

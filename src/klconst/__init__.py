@@ -31,7 +31,6 @@ from .linksim import (
     estimate_ser,
     kl_mc_estimate,
     pilot_qam_run,
-    pilot_qam_scheme,
     simulate_block,
     square_qam_alphabet,
     wilson_interval,
@@ -87,7 +86,6 @@ __all__ = [
     "optimize_unitary",
     "pairwise_kl_matrix",
     "pilot_qam_run",
-    "pilot_qam_scheme",
     "save_constellation",
     "save_unitary",
     "simulate_block",

@@ -56,17 +56,16 @@ from .core import (
 )
 from .linksim import (
     RESULT_CSV_HEADER,
+    PilotQamScheme,
     _stream,
     estimate_ser,
     kl_mc_estimate,
     pilot_qam_run,
-    pilot_qam_scheme,
 )
 from .multilevel import ALLOCATION_CSV_HEADER, allocate_bits
 from .unitary import (
     DEFAULT_ITERATIONS,
     DEFAULT_RESTARTS,
-    DEFAULT_SMOOTHING,
     PackingConfig,
     library_codebooks,
     load_unitary,
@@ -107,7 +106,6 @@ class ExperimentConfig:
     pairs: int = 20
     restarts: int = DEFAULT_RESTARTS
     iterations: int = DEFAULT_ITERATIONS
-    smoothing: float = DEFAULT_SMOOTHING
 
 
 # ---------------------------------------------------------------------------
@@ -150,15 +148,13 @@ def _as_int(raw, key, low=None, high=None):
     return value
 
 
-def _as_float(raw, key, positive=False):
+def _as_float(raw, key):
     try:
         value = float(raw)
     except ValueError:
         raise ConfigError(f"field {key!r} must be a real number, got {raw!r}") from None
     if not np.isfinite(value):
         raise ConfigError(f"field {key!r} must be finite, got {raw!r}")
-    if positive and value <= 0:
-        raise ConfigError(f"field {key!r} must be > 0, got {value}")
     return value
 
 
@@ -203,7 +199,6 @@ _FIELDS = {
     "pairs": (_COUNT, ("kl-check",), False),
     "restarts": (_COUNT, ("pack-unitary",), False),
     "iterations": (_COUNT, ("pack-unitary",), False),
-    "smoothing": (partial(_as_float, positive=True), ("pack-unitary",), False),
     _LIBRARY_KEY: (None, ("design", "ser-sweep"), False),
 }
 
@@ -349,7 +344,7 @@ def run_ser_sweep(cfg):
     pilot = None
     if "pilot-qam" in cfg.schemes:
         try:
-            pilot = pilot_qam_scheme(cfg.K, cfg.l_s)
+            pilot = PilotQamScheme(cfg.K, cfg.l_s)
         except ValueError as exc:
             raise ConfigError(f"fields 'K'/'l_s': {exc}") from exc
     if "multilevel" in cfg.schemes:
@@ -419,7 +414,6 @@ def run_pack_unitary(cfg):
             cardinality=2**cfg.l_s,
             restarts=cfg.restarts,
             iterations=cfg.iterations,
-            smoothing=cfg.smoothing,
             seed=cfg.seed,
         )
     )

@@ -242,13 +242,14 @@ class LevelSet:
     """Ordered amplitude levels alpha_0 < ... < alpha_{N-1} of a design.
 
     Levels always satisfy the average power constraint mean(alpha^2) = 1
-    (within 1e-9).  For two or more levels the noise-shifted energies form
-    a geometric chain, sigma2 + alpha_i^2 = (sigma2 + alpha_0^2) * ratio^i,
-    validated at construction; ``sigma2_design`` records the noise variance
-    the chain was built for.
+    (within 1e-9).  For two or more levels the noise-shifted energies must
+    form a geometric chain, sigma2 + alpha_i^2 = (sigma2 + alpha_0^2) *
+    ratio^i, with the ratio taken from the two lowest levels and checked
+    at every level at construction; ``sigma2_design`` records the noise
+    variance the chain was built for.
     """
 
-    def __init__(self, amplitudes, sigma2_design, ratio=None):
+    def __init__(self, amplitudes, sigma2_design):
         sigma2 = _check_sigma2(sigma2_design)
         a = np.array(amplitudes, dtype=float)
         if a.ndim != 1 or a.size == 0:
@@ -264,27 +265,28 @@ class LevelSet:
                 f"mean squared amplitude {power!r} violates the unit power "
                 f"constraint beyond {POWER_TOL}"
             )
-        if a.size == 1:
-            if ratio is not None:
-                raise ValueError("a single-level set has no ratio")
-        else:
-            if ratio is None:
-                raise ValueError("multi-level sets require the common ratio")
-            ratio = float(ratio)
-            if not ratio > 1.0:
-                raise ValueError(f"ratio must exceed 1, got {ratio!r}")
+        a.flags.writeable = False
+        self.amplitudes = a
+        self.sigma2_design = sigma2
+        if a.size > 1:
             shifted = sigma2 + a * a
-            chain = shifted[0] * ratio ** np.arange(a.size)
+            chain = shifted[0] * self.ratio ** np.arange(a.size)
             err = np.max(np.abs(shifted - chain) / chain)
             if err > CHAIN_RTOL:
                 raise ValueError(
                     f"energies deviate from the geometric chain by relative "
                     f"{err:.3e} (tolerance {CHAIN_RTOL})"
                 )
-        a.flags.writeable = False
-        self.amplitudes = a
-        self.ratio = ratio
-        self.sigma2_design = sigma2
+
+    @property
+    def ratio(self):
+        """Common ratio (sigma2 + alpha_1^2) / (sigma2 + alpha_0^2) of the
+        chain; None for a single level."""
+        if self.amplitudes.size == 1:
+            return None
+        a0, a1 = self.amplitudes[:2].tolist()
+        s2 = self.sigma2_design
+        return (s2 + a1 * a1) / (s2 + a0 * a0)
 
     @property
     def size(self):
@@ -395,9 +397,14 @@ def _kl_direction(e_k, gap, sigma2):
 
 def _kl_energy(e_i, e_k, sigma2):
     # D2 = x - ln x - 1 for x = (sigma2 + E_i)/(sigma2 + E_k), written
-    # around x = 1 for stability.
+    # around x = 1 for stability.  Below x = 1/2 it is formed from x itself:
+    # there x - 1 rounds to -1 once sigma2 + E_i falls under an ulp of
+    # sigma2 + E_k, and log1p(-1) is a domain error.
     den = sigma2 + e_k
     xm1 = (sigma2 + e_i - den) / den
+    if xm1 < -0.5:
+        x = (sigma2 + e_i) / den
+        return x - 1.0 - math.log(x)
     return max(xm1 - math.log1p(xm1), 0.0)
 
 
@@ -451,8 +458,13 @@ def pairwise_kl_matrix(points, sigma2):
     num = np.maximum(np.outer(E, E) - cross, 0.0)
     shifted = sigma2 + E
     d1 = num / (sigma2 * shifted)[None, :]
+    # D2 as in _kl_energy: around x = 1, and from x itself below x = 1/2
     xm1 = (shifted[:, None] - shifted[None, :]) / shifted[None, :]
-    d2 = np.maximum(xm1 - np.log1p(xm1), 0.0)
+    far = xm1 < -0.5
+    x = shifted[:, None] / shifted[None, :]
+    d2 = np.empty_like(xm1)
+    d2[far] = x[far] - 1.0 - np.log(x[far])
+    d2[~far] = np.maximum(xm1[~far] - np.log1p(xm1[~far]), 0.0)
     out = d1 + d2
     np.fill_diagonal(out, 0.0)
     return out
@@ -593,11 +605,7 @@ def load_constellation(path):
     """
 
     def build(fields, amps, V):
-        sigma2 = fields["sigma2_design"]
-        ratio = None
-        if amps.size > 1:
-            ratio = (sigma2 + amps[1] ** 2) / (sigma2 + amps[0] ** 2)
-        levels = LevelSet(amps, sigma2, ratio=ratio)
+        levels = LevelSet(amps, fields["sigma2_design"])
         return MultiLevelConstellation(levels, UnitarySet(V))
 
     return read_layout(path, "K N_levels N_directions sigma2_design", build)

@@ -70,7 +70,6 @@ __all__ = [
     "estimate_ser",
     "kl_mc_estimate",
     "square_qam_alphabet",
-    "pilot_qam_scheme",
     "pilot_qam_run",
 ]
 
@@ -86,26 +85,28 @@ RESULT_CSV_HEADER = "scheme,K,M,l_s,l_alpha,snr_db,ser,ci_low,ci_high,trials,see
 
 @dataclass(frozen=True)
 class SerEstimate:
-    """Block error rate estimate with its Wilson 95% interval."""
+    """Block error count over a number of trials; the rate ser =
+    errors/trials and its Wilson 95% interval (ci95_low, ci95_high) are
+    derived from the counts."""
 
-    ser: float
     trials: int
     errors: int
-    ci95_low: float
-    ci95_high: float
     seed: int
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials!r}")
-        if not 0 <= self.errors <= self.trials:
-            raise ValueError(
-                f"errors must lie in [0, trials], got {self.errors!r}"
-            )
-        if abs(self.ser - self.errors / self.trials) > 1e-12:
-            raise ValueError("ser must equal errors/trials")
-        if not (0.0 <= self.ci95_low <= self.ser <= self.ci95_high <= 1.0):
-            raise ValueError("confidence interval must bracket ser within [0, 1]")
+        wilson_interval(self.errors, self.trials)  # checks the counts
+
+    @property
+    def ser(self):
+        return self.errors / self.trials
+
+    @property
+    def ci95_low(self):
+        return wilson_interval(self.errors, self.trials)[0]
+
+    @property
+    def ci95_high(self):
+        return wilson_interval(self.errors, self.trials)[1]
 
 
 @dataclass(frozen=True)
@@ -120,48 +121,43 @@ class KlMcEstimate:
 
 @dataclass(frozen=True)
 class PilotQamScheme:
-    """Pilot-plus-QAM block format with an equal per-slot energy split."""
+    """Pilot-plus-QAM block format carrying total_bits over K - 1 data slots.
+
+    Every slot gets the same energy 1/K: the pilot amplitude is sqrt(1/K),
+    and each data slot carries total_bits / (K - 1) bits as one symbol of
+    the unit-energy square_qam_alphabet of that size, scaled by data_scale.
+    """
 
     K: int
-    bits_per_data_symbol: int
-    qam_alphabet: np.ndarray
-    pilot_amplitude: float
+    total_bits: int
 
     def __post_init__(self):
         if int(self.K) != self.K or self.K < 2:
             raise ValueError(f"K must be an integer >= 2, got {self.K!r}")
-        if int(self.bits_per_data_symbol) != self.bits_per_data_symbol or (
-            self.bits_per_data_symbol < 1
-        ):
+        if int(self.total_bits) != self.total_bits or self.total_bits < 1:
             raise ValueError(
-                f"bits_per_data_symbol must be a positive integer, "
-                f"got {self.bits_per_data_symbol!r}"
+                f"total_bits must be a positive integer, got {self.total_bits!r}"
             )
-        a = np.asarray(self.qam_alphabet, dtype=np.complex128).ravel()
-        if a.size != 2**self.bits_per_data_symbol:
-            raise ValueError(
-                f"alphabet size {a.size} does not match "
-                f"2^{self.bits_per_data_symbol} points"
-            )
-        if abs(float(np.mean(np.abs(a) ** 2)) - 1.0) > 1e-9:
-            raise ValueError("qam_alphabet must have unit average energy")
-        p = float(self.pilot_amplitude)
-        if not (0.0 < p < 1.0):
-            raise ValueError(
-                f"pilot_amplitude must lie in (0, 1) to leave energy for "
-                f"the data slots, got {p!r}"
-            )
-        a.flags.writeable = False
         object.__setattr__(self, "K", int(self.K))
-        object.__setattr__(
-            self, "bits_per_data_symbol", int(self.bits_per_data_symbol)
-        )
-        object.__setattr__(self, "qam_alphabet", a)
-        object.__setattr__(self, "pilot_amplitude", p)
+        object.__setattr__(self, "total_bits", int(self.total_bits))
+        if self.total_bits % (self.K - 1):
+            raise ValueError(
+                f"invalid alphabet size: {self.total_bits} bits do not split "
+                f"evenly over {self.K - 1} data slots"
+            )
+        square_qam_alphabet(self.bits_per_data_symbol)  # rejects non-square sizes
 
     @property
-    def total_bits(self):
-        return (self.K - 1) * self.bits_per_data_symbol
+    def bits_per_data_symbol(self):
+        return self.total_bits // (self.K - 1)
+
+    @property
+    def qam_alphabet(self):
+        return square_qam_alphabet(self.bits_per_data_symbol)
+
+    @property
+    def pilot_amplitude(self):
+        return math.sqrt(1.0 / self.K)
 
     @property
     def data_scale(self):
@@ -216,18 +212,6 @@ def wilson_interval(errors, trials, z=Z95):
     low = 0.0 if errors == 0 else max(center - half, 0.0)
     high = 1.0 if errors == trials else min(center + half, 1.0)
     return low, high
-
-
-def _ser_from_counts(errors, trials, seed):
-    lo, hi = wilson_interval(errors, trials)
-    return SerEstimate(
-        ser=errors / trials,
-        trials=trials,
-        errors=errors,
-        ci95_low=lo,
-        ci95_high=hi,
-        seed=seed,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +330,7 @@ def estimate_ser(c, params, trials, seed):
         G = gram(_gram_root(rng, vectors[sent], n, params.M, params.sigma2))
         detected = detect_two_stage_gram(G, c, params.sigma2, params.M)
         errors += int(np.count_nonzero(detected != sent))
-    return _ser_from_counts(errors, trials, seed)
+    return SerEstimate(trials, errors, seed)
 
 
 def kl_mc_estimate(s_i, s_k, params, samples, seed):
@@ -434,27 +418,6 @@ def square_qam_alphabet(bits):
     return a / math.sqrt(float(np.mean(np.abs(a) ** 2)))
 
 
-def pilot_qam_scheme(K, total_bits):
-    """Equal-power pilot scheme carrying total_bits over K - 1 data slots."""
-    if int(K) != K or K < 2:
-        raise ValueError(f"K must be an integer >= 2, got {K!r}")
-    K = int(K)
-    if int(total_bits) != total_bits or total_bits < 1:
-        raise ValueError(f"total_bits must be a positive integer, got {total_bits!r}")
-    bits, rem = divmod(int(total_bits), K - 1)
-    if rem:
-        raise ValueError(
-            f"invalid alphabet size: {total_bits} bits do not split evenly "
-            f"over {K - 1} data slots"
-        )
-    return PilotQamScheme(
-        K=K,
-        bits_per_data_symbol=bits,
-        qam_alphabet=square_qam_alphabet(bits),
-        pilot_amplitude=math.sqrt(1.0 / K),
-    )
-
-
 def pilot_qam_run(scheme, params, trials, seed):
     """Block error rate of the pilot-based QAM baseline.
 
@@ -490,4 +453,4 @@ def pilot_qam_run(scheme, params, trials, seed):
             np.abs(z[:, :, None] - points[None, None, :]) ** 2, axis=-1
         )
         errors += int(np.count_nonzero(np.any(decided != sent, axis=-1)))
-    return _ser_from_counts(errors, trials, seed)
+    return SerEstimate(trials, errors, seed)

@@ -32,7 +32,7 @@ allocations once and keeping the largest objective.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,16 +70,19 @@ ALLOCATION_CSV_HEADER = "l_alpha,min_kl,r0,alpha0"
 class BisectionResult:
     """Solution of the ratio equalization for one (sigma2, l_alpha, t).
 
-    d = r0 - 1 is the solved quantity; r0 = 1 + d rounds it to the spacing
-    of doubles near 1, so levels are built from d.
+    d = r0 - 1 is the solved quantity; the ratio r0 = 1 + d rounds it to
+    the spacing of doubles near 1, so levels are built from d.
     """
 
-    r0: float
     d: float
     alpha0: float
     iterations: int
     residual_equality: float
     residual_power: float
+
+    @property
+    def r0(self):
+        return 1.0 + self.d
 
 
 @dataclass(frozen=True)
@@ -103,12 +106,16 @@ class AllocationRow:
 
 @dataclass(frozen=True)
 class DesignOutcome:
-    """Winning allocation with its constellation and the full table."""
+    """Winning allocation with its constellation and the full table, one
+    row per l_alpha; min_kl is the winning row's."""
 
     l_alpha: int
     constellation: MultiLevelConstellation
-    min_kl: float
-    per_allocation_table: list[AllocationRow] = field(default_factory=list)
+    per_allocation_table: list[AllocationRow]
+
+    @property
+    def min_kl(self):
+        return self.per_allocation_table[self.l_alpha].min_kl
 
 
 def _excess(d, n):
@@ -243,7 +250,6 @@ def solve_bisection(sigma2, l_alpha, t_v):
     alpha_sq = max(_base_amp_sq(d, n, sigma2), 0.0)
     power = float(np.mean(_level_energies(alpha_sq, d, sigma2, n)))
     return BisectionResult(
-        r0=1.0 + d,
         d=d,
         alpha0=math.sqrt(alpha_sq),
         iterations=iterations,
@@ -270,7 +276,7 @@ def build_level_set(res, sigma2, l_alpha):
             "negative squared amplitude; the bisection result does not "
             "satisfy the power identity"
         )
-    return LevelSet(np.sqrt(radicand), sigma2, ratio=res.r0)
+    return LevelSet(np.sqrt(radicand), sigma2)
 
 
 def energy_only_levels(sigma2, l_alpha):
@@ -287,14 +293,12 @@ def energy_only_levels(sigma2, l_alpha):
         raise ValueError(f"l_alpha must be >= 1, got {l_alpha}")
     n = 2**l_alpha
     if n == 2:
-        # linear case, solved in closed form: sigma2 (1 + r) = 2 (sigma2 + 1)
-        r = (sigma2 + 2.0) / sigma2
-        return LevelSet([0.0, math.sqrt(2.0)], sigma2, ratio=r)
+        # linear case in closed form: a zero base level leaves alpha_1^2 = 2
+        return LevelSet([0.0, math.sqrt(2.0)], sigma2)
     # Same boundary as the feasibility ceiling of the general solver: the
     # ratio at which the power identity holds with a zero base level.
     d = _feasible_ratio_ceiling(n, sigma2)
-    amps = np.sqrt(_level_energies(0.0, d, sigma2, n))
-    return LevelSet(amps, sigma2, ratio=1.0 + d)
+    return LevelSet(np.sqrt(_level_energies(0.0, d, sigma2, n)), sigma2)
 
 
 def allocate_bits(l_s, sigma2, unitary_library):
@@ -358,6 +362,5 @@ def allocate_bits(l_s, sigma2, unitary_library):
         constellation=MultiLevelConstellation(
             best_levels, unitary_library[l_s - best.l_alpha]
         ),
-        min_kl=best.min_kl,
         per_allocation_table=rows,
     )

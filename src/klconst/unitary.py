@@ -37,7 +37,7 @@ from .core import (
     read_layout,
     write_layout,
 )
-from .linksim import _stream
+from .linksim import _check_seed, _stream
 
 __all__ = [
     "PackingConfig",
@@ -49,11 +49,12 @@ __all__ = [
     "default_library",
 ]
 
-# Soft-min sharpness rises geometrically from cfg.smoothing to
-# cfg.smoothing * SHARPEN_SPAN over the run while the step size decays from
+# Soft-min sharpness rises geometrically from SHARPEN_START to
+# SHARPEN_START * SHARPEN_SPAN over the run while the step size decays from
 # STEP_START to STEP_START * STEP_DECAY; settled empirically (a 4-point
 # packing in C^2 reaches >= 99% of the equiangular optimum with the
-# defaults below).
+# constants below).
+SHARPEN_START = 8.0
 SHARPEN_SPAN = 512.0
 STEP_START = 0.6
 STEP_DECAY = 1.0 / 30.0
@@ -66,7 +67,6 @@ _CHUNK_ENTRIES = 2**14
 
 DEFAULT_RESTARTS = 8
 DEFAULT_ITERATIONS = 1500
-DEFAULT_SMOOTHING = 8.0
 
 
 @dataclass(frozen=True)
@@ -74,15 +74,14 @@ class PackingConfig:
     """Knobs of one packing run.
 
     cardinality must be a power of two; restarts and iterations must be
-    >= 1; smoothing is the starting soft-min sharpness (> 0); seed keys the
-    counter-based restart streams, so a config is fully reproducible.
+    >= 1; seed, a 64-bit unsigned integer, keys the counter-based restart
+    streams, so a config is fully reproducible.
     """
 
     K: int
     cardinality: int
     restarts: int = DEFAULT_RESTARTS
     iterations: int = DEFAULT_ITERATIONS
-    smoothing: float = DEFAULT_SMOOTHING
     seed: int = 0
 
     def __post_init__(self):
@@ -93,10 +92,7 @@ class PackingConfig:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        if not self.smoothing > 0.0:
-            raise ValueError(f"smoothing must be positive, got {self.smoothing}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must fit an unsigned 64-bit integer, got {self.seed}")
+        _check_seed(self.seed)
 
 
 def welch_limit(K, N):
@@ -113,7 +109,7 @@ def welch_limit(K, N):
     return 1.0 - (N - K) / (K * (N - 1))
 
 
-def _climb(V, iterations, smoothing):
+def _climb(V, iterations):
     """Sharpened soft-min ascent on the pairwise squared chordal distances.
 
     V is a stack of R starts, shape (R, N, K); every step updates all R
@@ -130,7 +126,7 @@ def _climb(V, iterations, smoothing):
     denom = max(iterations - 1, 1)
     for it in range(iterations):
         u = it / denom
-        beta = smoothing * SHARPEN_SPAN**u
+        beta = SHARPEN_START * SHARPEN_SPAN**u
         step = STEP_START * STEP_DECAY**u
         C = V @ V.conj().transpose(0, 2, 1)
         # |C|^2 through abs: re^2 + im^2 is faster but changes the bits
@@ -190,7 +186,7 @@ def _pack(cfgs):
         chunk = max(1, _CHUNK_ENTRIES // n**2)
         stacks += [(i, starts[lo:lo + chunk]) for lo in range(0, cfg.restarts, chunk)]
 
-    jobs = [(V, cfgs[i].iterations, cfgs[i].smoothing) for i, V in stacks]
+    jobs = [(V, cfgs[i].iterations) for i, V in stacks]
     # largest first; one step of an (R, N, K) stack costs about R N^2 K
     order = sorted(
         range(len(jobs)),

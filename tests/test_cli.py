@@ -110,15 +110,13 @@ BASE_FIELDS = {
     "pack-unitary": dict(K=2, l_s=1, seed=1),
 }
 FIELD_VALUES = dict(M=4, l_s=1, snr_db_list="0", trials=10, schemes="unitary",
-                    pairs=2, restarts=2, iterations=5, smoothing=8.0)
+                    pairs=2, restarts=2, iterations=5)
 UNREAD = [
     ("design", "M"), ("design", "trials"), ("design", "schemes"),
     ("design", "pairs"), ("design", "restarts"), ("design", "iterations"),
-    ("design", "smoothing"),
     ("ser-sweep", "pairs"), ("ser-sweep", "restarts"), ("ser-sweep", "iterations"),
-    ("ser-sweep", "smoothing"),
     ("kl-check", "l_s"), ("kl-check", "schemes"), ("kl-check", "restarts"),
-    ("kl-check", "iterations"), ("kl-check", "smoothing"),
+    ("kl-check", "iterations"),
     ("kl-check", "unitary_library_1"),
     ("pack-unitary", "M"), ("pack-unitary", "snr_db_list"), ("pack-unitary", "trials"),
     ("pack-unitary", "schemes"), ("pack-unitary", "pairs"),
@@ -140,6 +138,17 @@ class TestFieldsPerMode:
             parse_config(cfg, mode)
         assert main([mode, "--config", str(cfg)]) == 2
         assert f"'{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "out.txt").exists()
+
+    @pytest.mark.parametrize("mode", list(BASE_FIELDS))
+    def test_smoothing_is_an_unknown_field(self, tmp_path, capsys, mode):
+        # the packer's soft-min start is a constant, not a config field
+        cfg = write_config(tmp_path, mode=mode, output_path=tmp_path / "out.txt",
+                           **BASE_FIELDS[mode], smoothing=8.0)
+        with pytest.raises(ConfigError, match="unknown field 'smoothing'"):
+            parse_config(cfg, mode)
+        assert main([mode, "--config", str(cfg)]) == 2
+        assert "'smoothing'" in capsys.readouterr().err
         assert not (tmp_path / "out.txt").exists()
 
     @pytest.mark.parametrize("mode", list(BASE_FIELDS))
@@ -165,7 +174,6 @@ class TestFieldsPerMode:
             tmp_path, "explicit.cfg", K=2, l_s=1, seed=4,
             restarts=klconst.unitary.DEFAULT_RESTARTS,
             iterations=klconst.unitary.DEFAULT_ITERATIONS,
-            smoothing=klconst.unitary.DEFAULT_SMOOTHING,
             output_path=tmp_path / "explicit.txt",
         )
         assert main(["pack-unitary", "--config", str(bare)]) == 0
@@ -211,8 +219,10 @@ class TestDesignMode:
 
     def test_high_snr_point_finishes(self, tmp_path):
         # at 50 dB the level ratio is about 1e5; run in a child process so
-        # that a bisection which never settles fails on the timeout
-        cfg = write_config(tmp_path, K=2, l_s=2, snr_db_list="50", seed=5,
+        # that a bisection which never settles fails on the timeout.  At
+        # 200 dB the energy term's x - 1 rounded to -1 at the ratio ceiling,
+        # and log1p(-1) made the design exit 3.
+        cfg = write_config(tmp_path, K=2, l_s=2, snr_db_list="50, 200", seed=5,
                            output_path=tmp_path / "high.csv")
         src = str(Path(klconst.unitary.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
@@ -221,7 +231,8 @@ class TestDesignMode:
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        assert (tmp_path / "high.csv").read_text().splitlines()[1].startswith("50,")
+        rows = (tmp_path / "high.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["50", "200"]
 
     def test_far_below_0_db_holds_unit_power(self, tmp_path):
         # below -67.5 dB the base amplitude and the ratio ceiling cancelled

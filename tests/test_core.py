@@ -3,6 +3,7 @@
 import math
 import types
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -69,7 +70,7 @@ def test_package_exports_every_public_attribute():
 @pytest.fixture()
 def small_constellation():
     levels = LevelSet(
-        [math.sqrt(0.5), math.sqrt(1.5)], sigma2_design=0.5, ratio=2.0
+        [math.sqrt(0.5), math.sqrt(1.5)], sigma2_design=0.5
     )
     dirs = UnitarySet(np.eye(2, dtype=complex))
     return MultiLevelConstellation(levels, dirs)
@@ -159,20 +160,21 @@ class TestLevelSet:
         with pytest.raises(ValueError):
             LevelSet([a, a], sigma2_design=0.1)
 
-    def test_geometric_chain_enforced_when_ratio_given(self):
-        # amplitudes satisfy the power constraint but not the claimed chain
-        with pytest.raises(ValueError):
-            LevelSet(
-                [math.sqrt(0.5), math.sqrt(1.5)], sigma2_design=0.1, ratio=9.0
-            )
+    def test_geometric_chain_enforced(self):
+        # unit power and increasing, but the shifted energies 0.2, 0.6, 1.3,
+        # 2.3 step by 3, 2.17 and 1.77; any two levels form a chain
+        with pytest.raises(ValueError, match="geometric chain"):
+            LevelSet(np.sqrt([0.1, 0.5, 1.2, 2.2]), sigma2_design=0.1)
 
     def test_valid_chain_accepted(self):
         s2 = 0.25
         r = 2.0
-        a0sq = 2 * (1 + s2) / (1 + r) - s2
-        amps = np.sqrt([a0sq, (s2 + a0sq) * r - s2])
-        ls = LevelSet(amps, sigma2_design=s2, ratio=r)
-        assert ls.size == 2 and ls.bits == 1
+        a0sq = 4 * (1 + s2) / (1 + r + r**2 + r**3) - s2
+        amps = np.sqrt([(s2 + a0sq) * r**i - s2 for i in range(4)])
+        ls = LevelSet(amps, sigma2_design=s2)
+        assert ls.size == 4 and ls.bits == 2
+        assert ls.ratio == pytest.approx(r, rel=1e-12)
+        assert LevelSet([1.0], sigma2_design=s2).ratio is None
 
 
 class TestMultiLevelConstellation:
@@ -199,7 +201,7 @@ class TestMultiLevelConstellation:
         assert energy == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_level_needs_a_single_direction(self):
-        levels = LevelSet([0.0, math.sqrt(2.0)], sigma2_design=1.0, ratio=3.0)
+        levels = LevelSet([0.0, math.sqrt(2.0)], sigma2_design=1.0)
         with pytest.raises(ValueError):
             MultiLevelConstellation(levels, UnitarySet(np.eye(2, dtype=complex)))
         # with one direction the on-off constellation is fine
@@ -255,6 +257,19 @@ class TestKlFull:
                 assert mat[i, k] == pytest.approx(
                     kl_full(pts[i], pts[k], 0.4), rel=1e-12, abs=1e-12
                 )
+
+    def test_energy_term_far_below_x_equal_one(self):
+        # E_i = 0 against E_k = 2 at sigma2 = 5e-17 (about 160 dB): x - 1
+        # rounds to -1 in doubles, which log1p cannot take
+        sigma2 = 5e-17
+        with mpmath.workdps(50):
+            x = mpmath.mpf(sigma2) / (mpmath.mpf(sigma2) + 2)
+            exact = float(x - 1 - mpmath.log(x))
+        d2 = _kl_energy(0.0, 2.0, sigma2)
+        assert d2 == pytest.approx(exact, rel=1e-14)
+        mat = pairwise_kl_matrix([[0.0, 0.0], [math.sqrt(2.0), 0.0]], sigma2)
+        assert np.all(np.isfinite(mat))
+        assert mat[0, 1] == pytest.approx(d2, rel=1e-15)
 
 
 class TestKlDecomposed:
@@ -373,7 +388,7 @@ class TestSerialization:
         s2, r = 0.31, 2.0
         a0_sq = 2 * (1 + s2) / (1 + r) - s2
         levels = LevelSet(
-            np.sqrt([a0_sq, (s2 + a0_sq) * r - s2]), sigma2_design=s2, ratio=r
+            np.sqrt([a0_sq, (s2 + a0_sq) * r - s2]), sigma2_design=s2
         )
         raw = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
         dirs = UnitarySet(raw / np.linalg.norm(raw, axis=1, keepdims=True))

@@ -125,7 +125,7 @@ class TestTies:
         s2, r = 0.25, 2.0
         a0_sq = 2 * (1 + s2) / (1 + r) - s2
         levels = LevelSet(
-            np.sqrt([a0_sq, (s2 + a0_sq) * r - s2]), sigma2_design=s2, ratio=r
+            np.sqrt([a0_sq, (s2 + a0_sq) * r - s2]), sigma2_design=s2
         )
         c = MultiLevelConstellation(levels, UnitarySet([v, v]))
         _, Y = random_blocks(rng, c, 0.25, M=4, count=100)

@@ -9,6 +9,7 @@ from klconst import (
     ChannelParams,
     MultiLevelConstellation,
     LevelSet,
+    PilotQamScheme,
     SerEstimate,
     SignalPoint,
     UnitarySet,
@@ -20,7 +21,6 @@ from klconst import (
     kl_full,
     kl_mc_estimate,
     pilot_qam_run,
-    pilot_qam_scheme,
     simulate_block,
     square_qam_alphabet,
     wilson_interval,
@@ -168,14 +168,14 @@ class TestWilsonInterval:
 
 class TestSerEstimate:
     def test_record_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            SerEstimate(
-                ser=0.5, trials=10, errors=4, ci95_low=0.2, ci95_high=0.8, seed=0
-            )
-        with pytest.raises(ValueError):
-            SerEstimate(
-                ser=0.4, trials=10, errors=4, ci95_low=0.5, ci95_high=0.8, seed=0
-            )
+        # the rate and interval follow from the counts, which must be sane
+        for trials, errors in ((10, 4), (7, 0), (7, 7)):
+            est = SerEstimate(trials=trials, errors=errors, seed=0)
+            assert est.ser == errors / trials
+            assert (est.ci95_low, est.ci95_high) == wilson_interval(errors, trials)
+        for trials, errors in ((0, 0), (10, 11), (10, -1)):
+            with pytest.raises(ValueError):
+                SerEstimate(trials=trials, errors=errors, seed=0)
 
 
 class TestEstimateSer:
@@ -283,9 +283,11 @@ class TestPilotQam:
     def test_odd_bits_have_no_square_grid(self):
         with pytest.raises(ValueError, match="invalid alphabet size"):
             square_qam_alphabet(3)
+        with pytest.raises(ValueError, match="invalid alphabet size"):
+            PilotQamScheme(2, 3)
 
     def test_scheme_splits_energy_equally(self):
-        scheme = pilot_qam_scheme(2, 6)
+        scheme = PilotQamScheme(2, 6)
         assert scheme.bits_per_data_symbol == 6
         assert scheme.pilot_amplitude == pytest.approx(math.sqrt(0.5), abs=1e-15)
         block_energy = scheme.pilot_amplitude**2 + (
@@ -295,16 +297,16 @@ class TestPilotQam:
 
     def test_bits_must_split_evenly_over_data_slots(self):
         with pytest.raises(ValueError, match="invalid alphabet size"):
-            pilot_qam_scheme(3, 5)
+            PilotQamScheme(3, 5)
 
     def test_low_noise_is_error_free(self):
-        scheme = pilot_qam_scheme(2, 4)
+        scheme = PilotQamScheme(2, 4)
         params = ChannelParams(M=8, K=2, sigma2=1e-6)
         est = pilot_qam_run(scheme, params, 2000, seed=4)
         assert est.ser == 0.0
 
     def test_deterministic_and_monotone_in_snr(self):
-        scheme = pilot_qam_scheme(2, 2)
+        scheme = PilotQamScheme(2, 2)
         sers = []
         for snr_db in (0.0, 14.0):
             params = ChannelParams.from_snr_db(M=8, K=2, snr_db=snr_db)

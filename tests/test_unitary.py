@@ -18,7 +18,7 @@ from klconst import (
     welch_limit,
 )
 from klconst.linksim import _stream
-from klconst.unitary import DEFAULT_SMOOTHING, _climb
+from klconst.unitary import _climb
 
 
 def tetrahedral_set():
@@ -116,8 +116,9 @@ class TestOptimizeUnitary:
             PackingConfig(K=2, cardinality=3)
         with pytest.raises(ValueError):
             PackingConfig(K=2, cardinality=4, restarts=0)
-        with pytest.raises(ValueError):
-            PackingConfig(K=2, cardinality=4, smoothing=0.0)
+        for seed in (1.5, -1, 2**64):
+            with pytest.raises(ValueError, match="seed"):
+                PackingConfig(K=2, cardinality=4, seed=seed)
 
 
 def restart_start(seed, restart, n, K):
@@ -132,10 +133,10 @@ class TestBatchedRestarts:
     def test_stacked_climb_equals_each_start_alone(self, K, N):
         starts = np.stack([restart_start(17, r, N, K) for r in range(3)])
         before = starts.copy()
-        stacked = _climb(starts, 50, DEFAULT_SMOOTHING)
+        stacked = _climb(starts, 50)
         np.testing.assert_array_equal(starts, before)
         for r in range(3):
-            alone = _climb(starts[r:r + 1], 50, DEFAULT_SMOOTHING)
+            alone = _climb(starts[r:r + 1], 50)
             assert stacked[r].tobytes() == alone[0].tobytes()
 
     def test_chunked_restarts_return_the_earliest_best_single_climb(self):
@@ -143,7 +144,7 @@ class TestBatchedRestarts:
         cfg = PackingConfig(K=2, cardinality=64, restarts=9, iterations=40)
         out = optimize_unitary(cfg)
         singles = [
-            _climb(restart_start(cfg.seed, r, 64, 2)[None], 40, cfg.smoothing)[0]
+            _climb(restart_start(cfg.seed, r, 64, 2)[None], 40)[0]
             for r in range(9)
         ]
         scores = [UnitarySet(V).min_sq_dist for V in singles]
@@ -157,7 +158,7 @@ class TestBatchedRestarts:
         seen = []
         monkeypatch.setattr(klconst.unitary, "_cpu_count", lambda: 1)
 
-        def recording(V, iterations, smoothing):
+        def recording(V, iterations):
             seen.append(V.shape[:2])
             return V
 
@@ -180,7 +181,7 @@ class TestBatchedRestarts:
         # 4, 4 and 1, climbed in-process so that the patched _climb runs
         offset = [0]
 
-        def rolled(V, iterations, smoothing):
+        def rolled(V, iterations):
             R, n, _ = V.shape
             out = np.stack([np.roll(np.eye(n), offset[0] + r, axis=1) for r in range(R)])
             offset[0] += R
