@@ -1,6 +1,6 @@
 """Config-driven batch front end.
 
-    klconst <mode> --config <path> [--seed N] [--out <path>]
+    klconst <mode> --config <path>
 
 Modes
 -----
@@ -203,11 +203,11 @@ _FIELDS = {
 }
 
 
-def parse_config(path, mode, seed_override=None, out_override=None):
+def parse_config(path, mode):
     """Read and validate a config file for the given mode.
 
-    CLI overrides (--seed, --out) replace the file's values before
-    validation.  Raises ConfigError with the offending field named.
+    The file is the one source of every value, the seed and the output
+    path included.  Raises ConfigError with the offending field named.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; valid modes: {', '.join(MODES)}")
@@ -232,10 +232,6 @@ def parse_config(path, mode, seed_override=None, out_override=None):
         for key in list(raw)
         if key.startswith(_LIBRARY_KEY)
     }
-    if seed_override is not None:
-        raw["seed"] = str(seed_override)
-    if out_override is not None:
-        raw["output_path"] = str(out_override)
     for key, (_, modes, required) in _FIELDS.items():
         if required and mode in modes and key not in raw:
             raise ConfigError(f"missing required field {key!r} for mode {mode}")
@@ -451,11 +447,9 @@ def main(argv=None):
     )
     parser.add_argument("mode", choices=MODES)
     parser.add_argument("--config", required=True, help="flat key = value file")
-    parser.add_argument("--seed", type=int, default=None, help="override config seed")
-    parser.add_argument("--out", default=None, help="override config output_path")
     args = parser.parse_args(argv)
     try:
-        cfg = parse_config(args.config, args.mode, args.seed, args.out)
+        cfg = parse_config(args.config, args.mode)
         return run(cfg)
     except ConfigError as exc:
         print(f"klconst: config error: {exc}", file=sys.stderr)

@@ -230,9 +230,6 @@ class UnitarySet:
         """Direction bits l_v = log2(cardinality)."""
         return self._bits
 
-    def __len__(self):
-        return self.vectors.shape[0]
-
     def __repr__(self):
         d = "inf" if math.isinf(self.min_sq_dist) else f"{self.min_sq_dist:.6g}"
         return f"UnitarySet(K={self.K}, size={self.size}, min_sq_dist={d})"
@@ -297,9 +294,6 @@ class LevelSet:
         """Level bits l_alpha = log2(cardinality)."""
         return self._bits
 
-    def __len__(self):
-        return self.amplitudes.size
-
     def __repr__(self):
         return (
             f"LevelSet(size={self.size}, ratio={self.ratio}, "
@@ -312,8 +306,9 @@ class MultiLevelConstellation:
 
     Point index = n * 2^l_v + j maps level n and direction j with the level
     bits in the high-order positions; the map is a bijection onto the
-    product.  Mean energy over all points equals 1 by the level-set power
-    constraint and is revalidated here.
+    product.  The mean energy over all points is mean(alpha^2) times the
+    mean squared direction norm, so the power check of the level set and
+    the unit-norm check of the direction set already hold it at 1.
     """
 
     def __init__(self, levels, directions):
@@ -325,17 +320,6 @@ class MultiLevelConstellation:
             raise ValueError(
                 "a zero level is only representable with a single canonical "
                 "direction (distinct directions would duplicate the origin)"
-            )
-        mean_energy = float(
-            np.mean(
-                np.repeat(levels.amplitudes**2, directions.size)
-                * np.tile(np.sum(np.abs(directions.vectors) ** 2, axis=1), levels.size)
-            )
-        )
-        if abs(mean_energy - 1.0) > POWER_TOL:
-            raise ValueError(
-                f"mean point energy {mean_energy!r} violates the unit power "
-                f"constraint beyond {POWER_TOL}"
             )
         self.levels = levels
         self.directions = directions
@@ -395,17 +379,30 @@ def _kl_direction(e_k, gap, sigma2):
     return max(gap, 0.0) / (sigma2 * (sigma2 + e_k))
 
 
+# Below this |x - 1| the energy term takes its series, whose remainder is
+# under 1e-20 relative there; t - log1p(t) would lose digits to cancellation
+SERIES_BELOW = 1e-4
+
+
+def _energy_series(t):
+    # t - log1p(t) to O(t^7), for floats and arrays alike
+    return t * t * (0.5 - t * (1.0 / 3.0 - t * (0.25 - t * (0.2 - t / 6.0))))
+
+
 def _kl_energy(e_i, e_k, sigma2):
-    # D2 = x - ln x - 1 for x = (sigma2 + E_i)/(sigma2 + E_k), written
-    # around x = 1 for stability.  Below x = 1/2 it is formed from x itself:
-    # there x - 1 rounds to -1 once sigma2 + E_i falls under an ulp of
-    # sigma2 + E_k, and log1p(-1) is a domain error.
+    # D2 = x - ln x - 1 for x = (sigma2 + E_i)/(sigma2 + E_k), written in
+    # t = x - 1 = (E_i - E_k)/(sigma2 + E_k), which keeps the energies where
+    # sigma2 + E would round them away, and by the series near t = 0.  Below
+    # x = 1/2 it is formed from x itself: there t rounds to -1 once sigma2 +
+    # E_i falls under an ulp of sigma2 + E_k, and log1p(-1) is a domain error.
     den = sigma2 + e_k
-    xm1 = (sigma2 + e_i - den) / den
-    if xm1 < -0.5:
+    t = (e_i - e_k) / den
+    if t < -0.5:
         x = (sigma2 + e_i) / den
         return x - 1.0 - math.log(x)
-    return max(xm1 - math.log1p(xm1), 0.0)
+    if abs(t) < SERIES_BELOW:
+        return _energy_series(t)
+    return max(t - math.log1p(t), 0.0)
 
 
 def kl_full(s_i, s_k, sigma2):
@@ -458,13 +455,17 @@ def pairwise_kl_matrix(points, sigma2):
     num = np.maximum(np.outer(E, E) - cross, 0.0)
     shifted = sigma2 + E
     d1 = num / (sigma2 * shifted)[None, :]
-    # D2 as in _kl_energy: around x = 1, and from x itself below x = 1/2
-    xm1 = (shifted[:, None] - shifted[None, :]) / shifted[None, :]
-    far = xm1 < -0.5
+    # D2 as in _kl_energy: around x = 1 in t = x - 1, by the series near it,
+    # and from x itself below x = 1/2
+    t = (E[:, None] - E[None, :]) / shifted[None, :]
+    far = t < -0.5
+    near = np.abs(t) < SERIES_BELOW
+    mid = ~far & ~near
     x = shifted[:, None] / shifted[None, :]
-    d2 = np.empty_like(xm1)
+    d2 = np.empty_like(t)
     d2[far] = x[far] - 1.0 - np.log(x[far])
-    d2[~far] = np.maximum(xm1[~far] - np.log1p(xm1[~far]), 0.0)
+    d2[near] = _energy_series(t[near])
+    d2[mid] = np.maximum(t[mid] - np.log1p(t[mid]), 0.0)
     out = d1 + d2
     np.fill_diagonal(out, 0.0)
     return out

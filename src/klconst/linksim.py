@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ChannelParams, MultiLevelConstellation, SignalPoint
-from .detection import detect_two_stage_gram, gram
+from .detection import _two_stage_gram, gram
 
 __all__ = [
     "SerEstimate",
@@ -194,8 +194,8 @@ def _check_seed(seed):
     return int(seed)
 
 
-def wilson_interval(errors, trials, z=Z95):
-    """Wilson score interval for a binomial proportion.
+def wilson_interval(errors, trials):
+    """Wilson 95% score interval for a binomial proportion.
 
     Returns (low, high), both in [0, 1].
     """
@@ -204,10 +204,10 @@ def wilson_interval(errors, trials, z=Z95):
     if not 0 <= errors <= trials:
         raise ValueError(f"errors must lie in [0, trials], got {errors!r}")
     p = errors / trials
-    z2 = z * z
+    z2 = Z95 * Z95
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2.0 * trials)) / denom
-    half = (z / denom) * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials**2))
+    half = (Z95 / denom) * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials**2))
     # the ends are exact at the extreme counts; don't let rounding leak past
     low = 0.0 if errors == 0 else max(center - half, 0.0)
     high = 1.0 if errors == trials else min(center + half, 1.0)
@@ -303,15 +303,33 @@ def simulate_block(s, params, rng):
     return h[:, None] * s.vector()[None, :] + noise
 
 
+def _block_errors(params, trials, seed, choices, per_trial, blocks, decide):
+    """Block errors over trials that each send per_trial uniform indices
+    below choices as one block: blocks maps n trials' (n, per_trial) indices
+    to (n, K) blocks, decide maps their Gram matrices to decided indices,
+    and a trial errs if any index does.  Draw order: the module docstring.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials!r}")
+    seed = _check_seed(seed)
+    errors = 0
+    for b, n in _substreams(trials):
+        rng = _stream(seed, b)
+        sent = rng.integers(0, choices, size=(n, per_trial))
+        G = gram(_gram_root(rng, blocks(sent), n, params.M, params.sigma2))
+        errors += int(np.count_nonzero(np.any(decide(G) != sent, axis=-1)))
+    return SerEstimate(trials, errors, seed)
+
+
 def estimate_ser(c, params, trials, seed):
     """Monte-Carlo block error rate of a constellation under two-stage ML.
 
     Per trial: a uniform message index, then the Gram matrix G of one
     received block drawn from its complex Wishart law (see the module
-    docstring for the sampler and the draw order), detection with
-    detect_two_stage_gram at the operating noise level, error counted on
-    index mismatch.  Identical seeds give identical results regardless of
-    how the substreams are scheduled.
+    docstring for the sampler and the draw order), the two-stage decision
+    of detect_two_stage taken from G at the operating noise level, and an
+    error on index mismatch.  Identical seeds give identical results
+    regardless of how the substreams are scheduled.
     """
     if not isinstance(c, MultiLevelConstellation):
         raise TypeError("c must be a MultiLevelConstellation")
@@ -319,18 +337,10 @@ def estimate_ser(c, params, trials, seed):
         raise ValueError(
             f"constellation block length {c.K} does not match params.K = {params.K}"
         )
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials!r}")
-    seed = _check_seed(seed)
-    vectors = c.point_vectors()
-    errors = 0
-    for b, n in _substreams(trials):
-        rng = _stream(seed, b)
-        sent = rng.integers(0, c.size, size=n)
-        G = gram(_gram_root(rng, vectors[sent], n, params.M, params.sigma2))
-        detected = detect_two_stage_gram(G, c, params.sigma2, params.M)
-        errors += int(np.count_nonzero(detected != sent))
-    return SerEstimate(trials, errors, seed)
+    return _block_errors(
+        params, trials, seed, c.size, 1, lambda sent: c.point_vectors()[sent[:, 0]],
+        lambda G: _two_stage_gram(G, c, params.sigma2, params.M)[:, None],
+    )
 
 
 def kl_mc_estimate(s_i, s_k, params, samples, seed):
@@ -435,22 +445,14 @@ def pilot_qam_run(scheme, params, trials, seed):
         raise ValueError(
             f"scheme block length {scheme.K} does not match params.K = {params.K}"
         )
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials!r}")
-    seed = _check_seed(seed)
+    pilot = scheme.pilot_amplitude
     points = scheme.data_scale * scheme.qam_alphabet
-    n_data = scheme.K - 1
-    errors = 0
-    for b, n in _substreams(trials):
-        rng = _stream(seed, b)
-        sent = rng.integers(0, points.size, size=(n, n_data))
-        blocks = np.empty((n, scheme.K), dtype=np.complex128)
-        blocks[:, 0] = scheme.pilot_amplitude
-        blocks[:, 1:] = points[sent]
-        G = gram(_gram_root(rng, blocks, n, params.M, params.sigma2))
-        z = scheme.pilot_amplitude * G[:, 0, 1:] / G[:, 0, :1].real
-        decided = np.argmin(
-            np.abs(z[:, :, None] - points[None, None, :]) ** 2, axis=-1
-        )
-        errors += int(np.count_nonzero(np.any(decided != sent, axis=-1)))
-    return SerEstimate(trials, errors, seed)
+
+    def decide(G):
+        z = pilot * G[:, 0, 1:] / G[:, 0, :1].real
+        return np.argmin(np.abs(z[:, :, None] - points[None, None, :]) ** 2, axis=-1)
+
+    return _block_errors(
+        params, trials, seed, points.size, scheme.K - 1,
+        lambda sent: np.insert(points[sent], 0, pilot, axis=1), decide,
+    )

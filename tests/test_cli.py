@@ -95,11 +95,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="unitary_library_1"):
             parse_config(path, "design")
 
-    def test_overrides_replace_file_values(self, tmp_path, design_cfg):
-        cfg = parse_config(design_cfg, "design", seed_override=99,
-                           out_override=tmp_path / "other.csv")
-        assert cfg.seed == 99
-        assert cfg.output_path.endswith("other.csv")
+    @pytest.mark.parametrize("flag", ["--seed", "--out"])
+    def test_config_values_have_no_command_line_flag(self, tmp_path, design_cfg,
+                                                     flag):
+        # the seed and the output path come from the config file only
+        value = "1" if flag == "--seed" else str(tmp_path / "other.csv")
+        with pytest.raises(SystemExit) as exc:
+            main(["design", "--config", str(design_cfg), flag, value])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "other.csv").exists()
 
 
 # minimal valid configs, and a valid value for each field some mode reads
@@ -221,8 +226,10 @@ class TestDesignMode:
         # at 50 dB the level ratio is about 1e5; run in a child process so
         # that a bisection which never settles fails on the timeout.  At
         # 200 dB the energy term's x - 1 rounded to -1 at the ratio ceiling,
-        # and log1p(-1) made the design exit 3.
-        cfg = write_config(tmp_path, K=2, l_s=2, snr_db_list="50, 200", seed=5,
+        # and log1p(-1) made the design exit 3.  At -200 dB it rounded to 0
+        # (sigma2 = 5e19 swallowed the energies), the ratio bracket had no
+        # sign change, and the design exited 3 as well.
+        cfg = write_config(tmp_path, K=2, l_s=2, snr_db_list="50, 200, -200", seed=5,
                            output_path=tmp_path / "high.csv")
         src = str(Path(klconst.unitary.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
@@ -232,7 +239,7 @@ class TestDesignMode:
         )
         assert proc.returncode == 0, proc.stderr
         rows = (tmp_path / "high.csv").read_text().splitlines()[1:]
-        assert [row.split(",")[0] for row in rows] == ["50", "200"]
+        assert [row.split(",")[0] for row in rows] == ["50", "200", "-200"]
 
     def test_far_below_0_db_holds_unit_power(self, tmp_path):
         # below -67.5 dB the base amplitude and the ratio ceiling cancelled
@@ -351,18 +358,21 @@ class TestSerSweepMode:
         assert schemes == ["multilevel", "unitary", "pilot-qam"] * 2
 
     def test_scheme_subset_and_seed_override(self, tmp_path):
-        cfg = write_config(
-            tmp_path,
-            K=2, M=4, l_s=2, snr_db_list="5", trials=400, seed=3,
-            schemes="unitary", output_path=tmp_path / "ser.csv",
-        )
-        main(["ser-sweep", "--config", str(cfg)])
+        fields = dict(K=2, M=4, l_s=2, snr_db_list="5", trials=400,
+                      schemes="unitary")
+        cfg = write_config(tmp_path, seed=3, output_path=tmp_path / "ser.csv",
+                           **fields)
+        assert main(["ser-sweep", "--config", str(cfg)]) == 0
         base = (tmp_path / "ser.csv").read_text()
         assert len(base.splitlines()) == 2
-        main(["ser-sweep", "--config", str(cfg), "--seed", "77"])
-        reseeded = (tmp_path / "ser.csv").read_text()
+        # another seed is another config file
+        cfg77 = write_config(tmp_path, "run77.cfg", seed=77,
+                             output_path=tmp_path / "ser77.csv", **fields)
+        assert main(["ser-sweep", "--config", str(cfg77)]) == 0
+        reseeded = (tmp_path / "ser77.csv").read_text()
         assert reseeded != base
         assert reseeded.splitlines()[1].endswith(",77")
+        assert (tmp_path / "ser.csv").read_text() == base
 
     def test_odd_split_with_pilot_is_a_config_error(self, tmp_path, capsys):
         cfg = write_config(

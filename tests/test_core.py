@@ -260,16 +260,22 @@ class TestKlFull:
 
     def test_energy_term_far_below_x_equal_one(self):
         # E_i = 0 against E_k = 2 at sigma2 = 5e-17 (about 160 dB): x - 1
-        # rounds to -1 in doubles, which log1p cannot take
-        sigma2 = 5e-17
-        with mpmath.workdps(50):
-            x = mpmath.mpf(sigma2) / (mpmath.mpf(sigma2) + 2)
-            exact = float(x - 1 - mpmath.log(x))
-        d2 = _kl_energy(0.0, 2.0, sigma2)
-        assert d2 == pytest.approx(exact, rel=1e-14)
-        mat = pairwise_kl_matrix([[0.0, 0.0], [math.sqrt(2.0), 0.0]], sigma2)
-        assert np.all(np.isfinite(mat))
-        assert mat[0, 1] == pytest.approx(d2, rel=1e-15)
+        # rounds to -1 in doubles, which log1p cannot take.  At sigma2 =
+        # 5e19 (about -200 dB) sigma2 + E rounds the energies away, so x - 1
+        # formed from the shifted energies read 0, and t - log1p(t) cancels
+        # to nothing at |t| = 4e-20.  The [1, 1] block has energy 2 exactly.
+        for sigma2 in (5e-17, 5e19):
+            with mpmath.workdps(80):
+                x = mpmath.mpf(sigma2) / (mpmath.mpf(sigma2) + 2)
+                exact = float(x - 1 - mpmath.log(x))
+            assert exact > 0.0
+            d2 = _kl_energy(0.0, 2.0, sigma2)
+            assert d2 == pytest.approx(exact, rel=1e-14, abs=0.0), sigma2
+            mat = pairwise_kl_matrix([[0.0, 0.0], [1.0, 1.0]], sigma2)
+            assert np.all(np.isfinite(mat))
+            assert mat[0, 1] == pytest.approx(d2, rel=1e-15, abs=0.0), sigma2
+            d2_back = _kl_energy(2.0, 0.0, sigma2)
+            assert mat[1, 0] == pytest.approx(d2_back, rel=1e-15, abs=0.0), sigma2
 
 
 class TestKlDecomposed:

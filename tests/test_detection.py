@@ -18,7 +18,6 @@ from klconst import (
     gram,
     simulate_block,
 )
-from klconst.detection import detect_joint_gram, detect_two_stage_gram
 
 
 @pytest.fixture(scope="module")
@@ -149,14 +148,7 @@ class TestValidation:
 
     def test_requires_positive_noise(self, designed_c2, rng):
         Y = rng.standard_normal((4, 2)) + 0j
-        with pytest.raises(ValueError):
-            detect_joint(Y, designed_c2, 0.0)
-
-    def test_gram_level_cores_check_shape_and_block_length(self, designed_c2):
-        G = np.eye(2, dtype=complex)
-        for detect in (detect_joint_gram, detect_two_stage_gram):
-            assert detect(G, designed_c2, 0.3, 4).shape == ()
-            with pytest.raises(ValueError, match="G must have shape"):
-                detect(np.eye(3), designed_c2, 0.3, 4)
-            with pytest.raises(ValueError, match="M must be"):
-                detect(G, designed_c2, 0.3, 0)
+        for detect in (detect_joint, detect_two_stage):
+            for sigma2 in (0.0, -0.3, math.inf):
+                with pytest.raises(ValueError, match="sigma2"):
+                    detect(Y, designed_c2, sigma2)

@@ -321,7 +321,10 @@ class TestRegressionGrid:
     it by 1e-9 to 3e-9 (K=2, l_s=8 from -52.5 dB; K=4, l_s 7-8 at -60 dB).
     Below -67.5 dB the base amplitude and the feasibility ceiling, formed
     from sum_i r^i against targets of order sigma2, cancelled to errors of
-    order eps * sigma2 and missed it by up to 1e-6 (K=2, l_s=2 at -80 dB)."""
+    order eps * sigma2 and missed it by up to 1e-6 (K=2, l_s=2 at -80 dB).
+    From -150 dB down the energy term formed x - 1 from the noise-shifted
+    energies, which sigma2 rounded away, and the ratio bracket lost its
+    sign change (K=2, l_s=6)."""
 
     def test_designs_hold_power_and_objective(self, rng, monkeypatch):
         iterations = []
@@ -340,6 +343,8 @@ class TestRegressionGrid:
             for l_s in range(1, 9)
             for i in range(37)
         ]
+        cases += [(K, l_s, snr_db) for K in (2, 4) for l_s in range(1, 9)
+                  for snr_db in (-150.0, -200.0, -300.0)]
         cases += [(2, 6, -19.5), (2, 6, -18.75)]
         for K, l_s, snr_db in cases:
             sigma2 = ChannelParams.from_snr_db(1, K, snr_db).sigma2
