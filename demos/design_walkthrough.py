@@ -12,13 +12,13 @@ is visible.
 
 import numpy as np
 
-from klconst import ChannelParams, allocate_bits, default_library, min_kl_bruteforce
+from klconst import ChannelParams, allocate_bits, library_codebooks, min_kl_bruteforce
 
 K = 2
 L_S = 6
 
 # one packing per direction-set size, shared by every SNR point below
-library = default_library(K, L_S, seed=0)
+library = library_codebooks(K, range(L_S + 1), seed=0)
 print(f"direction sets (K={K}):")
 for l_v in sorted(library):
     t = library[l_v].min_sq_dist

@@ -16,14 +16,14 @@ import numpy as np
 from klconst import (
     ChannelParams,
     allocate_bits,
-    default_library,
     detect_joint,
     detect_two_stage,
+    library_codebooks,
     simulate_block,
 )
 
 params = ChannelParams.from_snr_db(M=32, K=2, snr_db=5.0)
-library = default_library(2, 6, seed=0)
+library = library_codebooks(2, range(7), seed=0)
 c = allocate_bits(6, params.sigma2, library).constellation
 print(f"constellation: {c.levels.size} levels x {c.directions.size} directions, "
       f"{c.size} points")

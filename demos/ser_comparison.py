@@ -16,8 +16,8 @@ from klconst import (
     MultiLevelConstellation,
     PilotQamScheme,
     allocate_bits,
-    default_library,
     estimate_ser,
+    library_codebooks,
     pilot_qam_run,
 )
 
@@ -25,7 +25,7 @@ K, M, L_S = 2, 64, 6
 TRIALS = 20_000
 SEED = 99
 
-library = default_library(K, L_S, seed=0)
+library = library_codebooks(K, range(L_S + 1), seed=0)
 scheme = PilotQamScheme(K, L_S)
 
 print(f"K={K}, M={M}, {L_S} bits per block, {TRIALS} trials per point")

@@ -46,7 +46,8 @@ from .multilevel import (
 )
 from .unitary import (
     PackingConfig,
-    default_library,
+    fejes_toth_limit,
+    library_codebooks,
     load_unitary,
     optimize_unitary,
     save_unitary,
@@ -72,14 +73,15 @@ __all__ = [
     "allocate_bits",
     "build_level_set",
     "canonical_direction",
-    "default_library",
     "detect_joint",
     "detect_two_stage",
     "energy_only_levels",
     "estimate_ser",
+    "fejes_toth_limit",
     "gram",
     "kl_full",
     "kl_mc_estimate",
+    "library_codebooks",
     "load_constellation",
     "load_unitary",
     "min_kl_bruteforce",

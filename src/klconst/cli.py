@@ -65,7 +65,6 @@ from .linksim import (
 from .multilevel import ALLOCATION_CSV_HEADER, allocate_bits
 from .unitary import (
     DEFAULT_ITERATIONS,
-    DEFAULT_RESTARTS,
     PackingConfig,
     library_codebooks,
     load_unitary,
@@ -104,7 +103,7 @@ class ExperimentConfig:
     unitary_library_paths: dict = field(default_factory=dict)
     schemes: tuple = SCHEMES
     pairs: int = 20
-    restarts: int = DEFAULT_RESTARTS
+    restarts: int | None = None  # the PackingConfig default for K
     iterations: int = DEFAULT_ITERATIONS
 
 
@@ -277,8 +276,8 @@ def _build_library(cfg, sizes):
     """Direction codebooks for the direction-bit counts in sizes.
 
     Every unitary_library_<l_v> file is validated first; sizes that no file
-    supplies are then packed together, exactly as default_library would
-    pack them.
+    supplies are then packed together, each exactly as
+    library_codebooks(cfg.K, range(cfg.l_s + 1), seed=cfg.seed) packs it.
     """
     lib = {}
     for l_v, path in cfg.unitary_library_paths.items():

@@ -7,23 +7,42 @@ vectors in C^K whose quality is the minimum squared chordal distance
 
 a max-min line-packing objective on the complex projective space.  The
 problem is non-smooth, so the optimizer here climbs a temperature-sharpened
-soft-min surrogate with per-step renormalization and random restarts; the
-reported distance of the returned set is always the exact minimum, never
-the surrogate.  The restarts of one packing climb together as (R, N, K)
-stacks, one numpy call per step for all of them, and each stack bounds its
-per-step (R, N, N) array to _CHUNK_ENTRIES entries.  Every stack of a run,
-across all the codebook sizes it packs, is climbed on a pool of forked
-worker processes, one per available CPU; with one CPU, one stack, nothing
-to climb, or no fork on the platform, the stacks are climbed in-process
-and multiprocessing is never imported.  Each restart only ever touches its
-own slice, so it ends on the same bits as a lone climb, and neither the
-stacking nor the worker count can change a codebook; ties between restarts
-still go to the earliest.  External codebooks (built by any other tool)
-can be loaded from the shared plain-text format instead.
+soft-min surrogate with per-step renormalization; the reported distance of
+the returned set is always the exact minimum, never the surrogate.
+
+At K >= 3 each restart climbs from random complex normals, 8 restarts by
+default.  At K = 2 the Bloch map sends a line to a point b on the unit
+sphere S^2 with 1 - |<u, v>|^2 = |b_u - b_v|^2 / 4, so packing lines in
+C^2 is the Tammes problem on S^2 (Conway, Hardin & Sloane, "Packing lines,
+planes, etc.", 1996).  Its starts are laid out on the sphere instead: an
+antipodal pair at N = 2, the regular tetrahedron at N = 4 (t = 2/3, the
+Welch limit) and the square antiprism at N = 8 (the Tammes optimum,
+t = 2/(4 + sqrt 2)), returned as they are, since a climb only moves them
+off the optimum; from N = 16 up the spherical Fibonacci lattice (Gonzalez,
+Math. Geosci. 2010), climbed.  Restart r at K = 2 turns that layout by a
+Haar-random SU(2) rotation drawn from the seed's stream r; a rotation keeps
+every distance, so all restarts score the same up to rounding, K = 2
+defaults to one restart, and the seed only picks the orientation of the
+codebook (still one codebook per seed).
+
+The restarts of one packing climb together as (R, N, K) stacks, one numpy
+call per step for all of them, and each stack bounds its per-step (R, N, N)
+array to _CHUNK_ENTRIES entries.  Every stack of a run, across all the
+codebook sizes it packs, is climbed on a pool of forked worker processes,
+one per available CPU, each with its BLAS on one thread; with one CPU, one
+stack, nothing to climb, or no fork on the platform, the stacks are climbed
+in-process and multiprocessing is never imported.  Each restart only ever
+touches its own slice, so it ends on the same bits as a lone climb, and
+neither the stacking nor the worker count can change a codebook; ties
+between restarts still go to the earliest.  External codebooks (built by
+any other tool) can be loaded from the shared plain-text format instead.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
+import math
 import os
 from dataclasses import dataclass
 
@@ -42,11 +61,11 @@ from .linksim import _check_seed, _stream
 __all__ = [
     "PackingConfig",
     "welch_limit",
+    "fejes_toth_limit",
     "optimize_unitary",
     "save_unitary",
     "load_unitary",
     "library_codebooks",
-    "default_library",
 ]
 
 # Soft-min sharpness rises geometrically from SHARPEN_START to
@@ -68,19 +87,24 @@ _CHUNK_ENTRIES = 2**14
 DEFAULT_RESTARTS = 8
 DEFAULT_ITERATIONS = 1500
 
+# K = 2 sizes whose Bloch-sphere layout is returned without a climb
+_BLOCH_CLOSED_FORMS = (2, 4, 8)
+
 
 @dataclass(frozen=True)
 class PackingConfig:
     """Knobs of one packing run.
 
     cardinality must be a power of two; restarts and iterations must be
-    >= 1; seed, a 64-bit unsigned integer, keys the counter-based restart
-    streams, so a config is fully reproducible.
+    >= 1; restarts left at None becomes 1 at K = 2, whose restarts only
+    rotate one layout, and DEFAULT_RESTARTS otherwise; seed, a 64-bit
+    unsigned integer, keys the counter-based restart streams, so a config
+    is fully reproducible.
     """
 
     K: int
     cardinality: int
-    restarts: int = DEFAULT_RESTARTS
+    restarts: int | None = None
     iterations: int = DEFAULT_ITERATIONS
     seed: int = 0
 
@@ -88,6 +112,8 @@ class PackingConfig:
         if self.K < 1:
             raise ValueError(f"K must be >= 1, got {self.K}")
         _pow2_bits(self.cardinality, "cardinality")
+        if self.restarts is None:
+            object.__setattr__(self, "restarts", 1 if self.K == 2 else DEFAULT_RESTARTS)
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         if self.iterations < 1:
@@ -107,6 +133,75 @@ def welch_limit(K, N):
     if N <= K:
         return 1.0
     return 1.0 - (N - K) / (K * (N - 1))
+
+
+def fejes_toth_limit(N):
+    """Upper bound on the min squared chordal distance of N lines in C^2.
+
+    Through the Bloch map t = d^2 / 4 for the least chord d between N points
+    on the unit sphere, and Fejes Toth (1943) bounds d^2 <= 4 - csc^2(w),
+    w = pi N / (6 (N - 2)), so t <= 1 - csc^2(w) / 4; exact at N = 3, 4,
+    6 and 12, and below welch_limit(2, N) from N = 5 up.  N <= 2 lines
+    attain t = 1.
+    """
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    if N <= 2:
+        return 1.0
+    return 1.0 - 0.25 / math.sin(math.pi * N / (6 * (N - 2))) ** 2
+
+
+def _bloch_layout(n):
+    """The K = 2 start of n lines, laid out on the Bloch sphere.
+
+    Returns (n, 2) unit vectors (cos(theta/2), e^{i phi} sin(theta/2)) for
+    sphere points at height z = cos(theta) and azimuth phi: the antipodal
+    pair, the tetrahedron and the square antiprism (edges all equal, at
+    heights +-h with h^2 = sqrt2 / (4 + sqrt2)) for n = 2, 4 and 8, and the
+    spherical Fibonacci lattice, n heights evenly spaced in z and azimuths a
+    golden angle apart, for any other n.
+    """
+    if n == 2:
+        z, phi = np.array([1.0, -1.0]), np.zeros(2)
+    elif n == 4:
+        z = np.array([1.0, -1 / 3, -1 / 3, -1 / 3])
+        phi = 2 * np.pi / 3 * np.array([0, 0, 1, 2])
+    elif n == 8:
+        h = math.sqrt(math.sqrt(2) / (4 + math.sqrt(2)))
+        z = np.repeat([h, -h], 4)
+        phi = np.pi / 2 * np.tile(np.arange(4), 2) + np.repeat([0.0, np.pi / 4], 4)
+    else:
+        z = 1 - (2 * np.arange(n) + 1) / n
+        phi = np.pi * (3 - math.sqrt(5)) * np.arange(n)
+    return np.stack(
+        [np.sqrt((1 + z) / 2) + 0j, np.exp(1j * phi) * np.sqrt((1 - z) / 2)], axis=1
+    )
+
+
+def _haar_su2(rng):
+    """A Haar-random SU(2) matrix: a uniform unit quaternion (a, b)."""
+    q = rng.standard_normal(4)
+    q /= np.linalg.norm(q)
+    a, b = complex(q[0], q[1]), complex(q[2], q[3])
+    return np.array([[a, -b.conjugate()], [b, a.conjugate()]])
+
+
+def _starts(cfg):
+    """The (restarts, N, K) starts of a config, restart r from stream (seed, r).
+
+    At K = 2 restart r is the Bloch layout turned by a Haar SU(2) rotation;
+    otherwise it draws complex normals.  Rows are unit norm.
+    """
+    n, K = cfg.cardinality, cfg.K
+    streams = [_stream(cfg.seed, r) for r in range(cfg.restarts)]
+    if K == 2:
+        layout = _bloch_layout(n)
+        starts = np.stack([layout @ _haar_su2(rng).T for rng in streams])
+    else:
+        starts = np.stack(
+            [rng.standard_normal((n, K)) + 1j * rng.standard_normal((n, K)) for rng in streams]
+        )
+    return starts / np.linalg.norm(starts, axis=2, keepdims=True)
 
 
 def _climb(V, iterations):
@@ -154,35 +249,54 @@ def _cpu_count():
     return os.cpu_count() or 1
 
 
+def _one_blas_thread():
+    """Pool initializer: put this worker's BLAS on one thread.
+
+    The workers already use every CPU between them, so a multi-threaded
+    BLAS in each would oversubscribe them.  Calls the thread setter of the
+    OpenBLAS bundled in numpy's wheel; with any other BLAS there is no such
+    symbol and the worker keeps the threading it inherited.
+    """
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*scipy_openblas*")):
+        try:
+            setter = ctypes.CDLL(path).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = None
+        setter(1)
+
+
 def _pack(cfgs):
     """Best packing of each config, climbing every restart stack of the run.
 
-    Restart r of a config draws its start from a counter-based stream keyed
-    (cfg.seed, r).  Each config's starts are cut into stacks of at most
+    Restart r of a config starts from _starts, keyed (cfg.seed, r).  The
+    K = 2 closed forms (N = 2, 4, 8) are scored as they are; every other
+    config's starts are cut into stacks of at most
     max(1, _CHUNK_ENTRIES // N^2) restarts.  The stacks of all configs are
     climbed largest first on a fork-context process pool with one worker
-    per available CPU, at most one per stack; they are climbed in-process
-    instead when there is one CPU or one stack, when no config needs a
-    climb (N = 1 is the canonical single vector), or when the platform
-    cannot fork.  Fork rather than spawn: a spawned worker would import
-    numpy and this package again, which costs much of what the pool saves;
-    the executor forks all its workers before it starts its own thread.
-    Workers keep the BLAS threading they inherit, so a multi-threaded BLAS
-    oversubscribes the CPUs on stacks large enough for BLAS to thread.
-    Each config's results are then scored in restart order, and equal exact
-    scores keep the earliest restart's set, so the returned UnitarySets do
-    not depend on the stacking, the worker count or the finishing order.
+    per available CPU, at most one per stack, each worker's BLAS on one
+    thread (_one_blas_thread); they are climbed in-process instead when
+    there is one CPU or one stack, when no config needs a climb (N = 1 is
+    the canonical single vector), or when the platform cannot fork.  Fork
+    rather than spawn: a spawned worker would import numpy and this package
+    again, which costs much of what the pool saves; the executor forks all
+    its workers before it starts its own thread.  Each config's results are
+    then scored in restart order, and equal exact scores keep the earliest
+    restart's set, so the returned UnitarySets do not depend on the
+    stacking, the worker count or the finishing order.
     """
+    unclimbed = []  # (config index, starts scored as they are)
     stacks = []  # (config index, stack of starts)
     for i, cfg in enumerate(cfgs):
-        n, K = cfg.cardinality, cfg.K
+        n = cfg.cardinality
         if n == 1:
             continue
-        starts = np.empty((cfg.restarts, n, K), dtype=complex)
-        for restart in range(cfg.restarts):
-            rng = _stream(cfg.seed, restart)
-            starts[restart] = rng.standard_normal((n, K)) + 1j * rng.standard_normal((n, K))
-        starts /= np.linalg.norm(starts, axis=2, keepdims=True)
+        starts = _starts(cfg)
+        if cfg.K == 2 and n in _BLOCH_CLOSED_FORMS:
+            unclimbed.append((i, starts))
+            continue
         chunk = max(1, _CHUNK_ENTRIES // n**2)
         stacks += [(i, starts[lo:lo + chunk]) for lo in range(0, cfg.restarts, chunk)]
 
@@ -199,7 +313,9 @@ def _pack(cfgs):
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(
-            workers, mp_context=multiprocessing.get_context("fork")
+            workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_one_blas_thread,
         ) as pool:
             futures = {j: pool.submit(_climb, *jobs[j]) for j in order}
             climbed = {j: future.result() for j, future in futures.items()}
@@ -208,8 +324,9 @@ def _pack(cfgs):
 
     best_v = [canonical_direction(cfg.K)[None, :] for cfg in cfgs]
     best_t = [-1.0] * len(cfgs)
-    for j, (i, _) in enumerate(stacks):
-        for V in climbed[j]:
+    finished = unclimbed + [(i, climbed[j]) for j, (i, _) in enumerate(stacks)]
+    for i, sets in finished:
+        for V in sets:
             t = _min_sq_chordal(V)
             if t > best_t[i]:
                 best_v[i], best_t[i] = V, t
@@ -219,7 +336,9 @@ def _pack(cfgs):
 def optimize_unitary(cfg):
     """Best packing over cfg.restarts independent soft-min climbs.
 
-    The restarts are climbed as stacks on the packing pool described at
+    At K = 2 the restarts are turns of one Bloch-sphere layout, and the
+    N = 2, 4, 8 layouts are not climbed (see the module docstring).  The
+    restarts are climbed as stacks on the packing pool described at
     :func:`_pack`, in parallel when more than one CPU is available and
     in-process otherwise; the result is bitwise the same at any worker
     count.  Equal exact scores keep the earliest restart's set.  The
@@ -245,19 +364,18 @@ def load_unitary(path):
     return read_layout(path, "K N", lambda fields, amps, V: UnitarySet(V))
 
 
-def library_codebooks(K, l_vs, seed=0, restarts=DEFAULT_RESTARTS,
-                      iterations=DEFAULT_ITERATIONS):
+def library_codebooks(K, l_vs, seed=0, restarts=None, iterations=DEFAULT_ITERATIONS):
     """The library's codebooks of 2^l_v directions in C^K, one per l_v.
 
-    Returns {l_v: UnitarySet}.  Each size is packed as
-    :func:`optimize_unitary` would pack it (l_v = 0 is its canonical single
-    vector) with a per-size seed derived from the given one (splitmix
-    increment), so each size is reproducible on its own and equals the
-    matching entry of :func:`default_library`, whichever other sizes are
-    asked for.  All sizes are climbed together on one packing pool (see
-    :func:`_pack`): forked workers, one per available CPU, or in-process
-    with one CPU or where fork is missing; the codebooks are the same
-    either way.
+    Returns {l_v: UnitarySet}; range(l_s + 1) gives every split of l_s
+    bits.  Each size is packed as :func:`optimize_unitary` would pack it
+    (l_v = 0 is its canonical single vector; restarts=None is the
+    PackingConfig default for K) with a per-size seed derived from the
+    given one (splitmix increment), so each size is reproducible on its
+    own, whichever other sizes are asked for.  All sizes are climbed
+    together on one packing pool (see :func:`_pack`): forked workers, one
+    per available CPU, or in-process with one CPU or where fork is missing;
+    the codebooks are the same either way.
     """
     l_vs = list(l_vs)
     cfgs = [
@@ -271,12 +389,3 @@ def library_codebooks(K, l_vs, seed=0, restarts=DEFAULT_RESTARTS,
         for l_v in l_vs
     ]
     return dict(zip(l_vs, _pack(cfgs)))
-
-
-def default_library(K, l_s, seed=0, restarts=DEFAULT_RESTARTS,
-                    iterations=DEFAULT_ITERATIONS):
-    """Packed direction sets for every direction-bit count 0..l_s, from
-    :func:`library_codebooks`, so the whole library is reproducible."""
-    if l_s < 0:
-        raise ValueError(f"l_s must be >= 0, got {l_s}")
-    return library_codebooks(K, range(l_s + 1), seed, restarts, iterations)

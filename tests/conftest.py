@@ -3,18 +3,18 @@
 import numpy as np
 import pytest
 
-from klconst import default_library
+from klconst import library_codebooks
 
 
 @pytest.fixture(scope="session")
 def library_k2_ls6():
-    # packings for N = 1..64 in C^2; a couple of seconds, reused everywhere
-    return default_library(2, 6, seed=0)
+    # packings for N = 1..64 in C^2, reused everywhere
+    return library_codebooks(2, range(7), seed=0)
 
 
 @pytest.fixture(scope="session")
 def library_k2_ls2():
-    return default_library(2, 2, seed=0)
+    return library_codebooks(2, range(3), seed=0)
 
 
 @pytest.fixture()

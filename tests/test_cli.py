@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import klconst.unitary
-from klconst import default_library, load_constellation, load_unitary, welch_limit
+from klconst import library_codebooks, load_constellation, load_unitary, welch_limit
 from klconst.cli import ConfigError, _build_library, main, parse_config
 
 
@@ -173,19 +173,21 @@ class TestFieldsPerMode:
             parse_config(cfg, "design")
 
     def test_pack_unitary_knobs_default_to_the_packer_defaults(self, tmp_path):
-        bare = write_config(tmp_path, "bare.cfg", K=2, l_s=1, seed=4,
-                            output_path=tmp_path / "bare.txt")
-        explicit = write_config(
-            tmp_path, "explicit.cfg", K=2, l_s=1, seed=4,
-            restarts=klconst.unitary.DEFAULT_RESTARTS,
-            iterations=klconst.unitary.DEFAULT_ITERATIONS,
-            output_path=tmp_path / "explicit.txt",
-        )
-        assert main(["pack-unitary", "--config", str(bare)]) == 0
-        assert main(["pack-unitary", "--config", str(explicit)]) == 0
-        assert (tmp_path / "bare.txt").read_bytes() == (
-            tmp_path / "explicit.txt"
-        ).read_bytes()
+        # K = 2 restarts only turn one Bloch-sphere layout, so it defaults to one
+        for K, restarts in ((2, 1), (3, klconst.unitary.DEFAULT_RESTARTS)):
+            bare = write_config(tmp_path, f"bare{K}.cfg", K=K, l_s=1, seed=4,
+                                output_path=tmp_path / f"bare{K}.txt")
+            explicit = write_config(
+                tmp_path, f"explicit{K}.cfg", K=K, l_s=1, seed=4,
+                restarts=restarts,
+                iterations=klconst.unitary.DEFAULT_ITERATIONS,
+                output_path=tmp_path / f"explicit{K}.txt",
+            )
+            assert main(["pack-unitary", "--config", str(bare)]) == 0
+            assert main(["pack-unitary", "--config", str(explicit)]) == 0
+            assert (tmp_path / f"bare{K}.txt").read_bytes() == (
+                tmp_path / f"explicit{K}.txt"
+            ).read_bytes()
 
     def test_readme_examples_parse(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -274,7 +276,7 @@ class TestLazyLibrary:
         return calls
 
     def test_supplied_sizes_are_not_packed(self, tmp_path, pack_calls):
-        lib = default_library(2, 2, seed=0, restarts=2, iterations=50)
+        lib = library_codebooks(2, range(3), seed=0, restarts=2, iterations=50)
         books = {}
         for l_v in (1, 2):
             books[f"unitary_library_{l_v}"] = tmp_path / f"u{l_v}.txt"
@@ -299,7 +301,7 @@ class TestLazyLibrary:
                             output_path="x.csv", unitary_library_1=book)
         lib = _build_library(parse_config(path, "design"), range(3))
         assert pack_calls == [1, 4]
-        reference = default_library(2, 2, seed=7)
+        reference = library_codebooks(2, range(3), seed=7)
         np.testing.assert_array_equal(lib[2].vectors, reference[2].vectors)
         np.testing.assert_array_equal(lib[0].vectors, reference[0].vectors)
         np.testing.assert_array_equal(lib[1].vectors, np.eye(2))
@@ -320,7 +322,7 @@ class TestLazyLibrary:
             books = {f"unitary_library_{l_v}": tmp_path / f"u{l_v}.txt" for l_v in (1, 2)}
             books["unitary_library_1"].write_text("2 2\n1 0 0 0\n0 0 1 0\n")
             klconst.unitary.save_unitary(
-                default_library(2, 2, restarts=1, iterations=20)[2],
+                library_codebooks(2, [2], restarts=1, iterations=20)[2],
                 books["unitary_library_2"],
             )
             cfg = write_config(tmp_path, K=2, l_s=2, snr_db_list="0", seed=5,

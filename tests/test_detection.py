@@ -22,9 +22,9 @@ from klconst import (
 
 @pytest.fixture(scope="module")
 def designed_c2():
-    from klconst import default_library
+    from klconst import library_codebooks
 
-    lib = default_library(2, 2, seed=0)
+    lib = library_codebooks(2, range(3), seed=0)
     return allocate_bits(2, 0.3, lib).constellation
 
 

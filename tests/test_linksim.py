@@ -15,11 +15,11 @@ from klconst import (
     UnitarySet,
     allocate_bits,
     canonical_direction,
-    default_library,
     detect_two_stage,
     estimate_ser,
     kl_full,
     kl_mc_estimate,
+    library_codebooks,
     pilot_qam_run,
     simulate_block,
     square_qam_alphabet,
@@ -68,7 +68,7 @@ def a_formed_kl(s_i, s_k, params, samples, seed):
 
 @pytest.fixture(scope="module")
 def designed_c2():
-    lib = default_library(2, 2, seed=0)
+    lib = library_codebooks(2, range(3), seed=0)
     return allocate_bits(2, 0.3, lib).constellation
 
 

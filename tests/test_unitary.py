@@ -1,7 +1,12 @@
 """Direction packing: chordal distances, Welch bound, optimizer, files."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,14 +16,15 @@ from klconst import (
     FileFormatError,
     PackingConfig,
     UnitarySet,
-    default_library,
+    fejes_toth_limit,
+    library_codebooks,
     load_unitary,
     optimize_unitary,
     save_unitary,
     welch_limit,
 )
 from klconst.linksim import _stream
-from klconst.unitary import _climb
+from klconst.unitary import _climb, _pack, _starts
 
 
 def tetrahedral_set():
@@ -99,7 +105,7 @@ class TestOptimizeUnitary:
         best = -math.inf
         for restarts in (1, 2, 3, 4):
             cfg = PackingConfig(
-                K=2, cardinality=8, restarts=restarts, iterations=150, seed=3
+                K=3, cardinality=8, restarts=restarts, iterations=150, seed=3
             )
             t = optimize_unitary(cfg).min_sq_dist
             assert t >= best
@@ -119,6 +125,86 @@ class TestOptimizeUnitary:
         for seed in (1.5, -1, 2**64):
             with pytest.raises(ValueError, match="seed"):
                 PackingConfig(K=2, cardinality=4, seed=seed)
+
+
+class TestBlochPacking:
+    def test_fejes_toth_examples(self):
+        # exact for a great-circle triangle, the tetrahedron and the
+        # icosahedron (neighbours at cos = 1/sqrt 5)
+        assert fejes_toth_limit(2) == 1.0
+        assert fejes_toth_limit(3) == pytest.approx(0.75, abs=1e-15)
+        assert fejes_toth_limit(4) == pytest.approx(2.0 / 3.0, abs=1e-15)
+        assert fejes_toth_limit(12) == pytest.approx((1 - 1 / math.sqrt(5)) / 2, abs=1e-15)
+        for N in range(5, 65):
+            assert fejes_toth_limit(N) < welch_limit(2, N)
+
+    def test_closed_forms_reach_their_optima(self):
+        antiprism = 2.0 / (4.0 + math.sqrt(2.0))  # 0.3693980625...
+        for seed in range(5):
+            for N, t in [(2, 1.0), (4, 2.0 / 3.0), (8, antiprism)]:
+                out = optimize_unitary(PackingConfig(K=2, cardinality=N, seed=seed))
+                assert out.min_sq_dist == pytest.approx(t, abs=1e-15), (seed, N)
+
+    def test_closed_forms_are_not_climbed(self, monkeypatch):
+        def no_climb(V, iterations):
+            raise AssertionError("climbed a closed form")
+
+        monkeypatch.setattr(klconst.unitary, "_climb", no_climb)
+        library_codebooks(2, range(4), seed=5, restarts=3)
+
+    def test_restarts_turn_one_layout(self):
+        # every restart has the same |Gram| matrix; the seed picks the turn
+        starts = _starts(PackingConfig(K=2, cardinality=16, restarts=3, seed=1))
+        gram = np.abs(starts @ starts.conj().transpose(0, 2, 1))
+        for r in (1, 2):
+            np.testing.assert_allclose(gram[r], gram[0], rtol=0, atol=1e-14)
+            assert not np.allclose(starts[r], starts[0])
+        other = _starts(PackingConfig(K=2, cardinality=16, restarts=1, seed=2))
+        assert not np.allclose(other[0], starts[0])
+
+    def test_restarts_default_by_K(self):
+        assert PackingConfig(K=2, cardinality=4).restarts == 1
+        assert PackingConfig(K=3, cardinality=4).restarts == klconst.unitary.DEFAULT_RESTARTS
+        assert PackingConfig(K=2, cardinality=4, restarts=5).restarts == 5
+
+
+# Median min_sq_dist over seeds 0..4 of optimize_unitary(PackingConfig(K, N,
+# seed=s)) at the default restarts and iterations, recorded from eight
+# random restarts per size at every K; a packer change must meet or beat
+# each cell (relative slack 1e-9, so landing on the same optimum passes).
+PACKING_FLOOR = {
+    (2, 4): 0.6622761697279205,
+    (2, 8): 0.36681031932333086,
+    (2, 16): 0.19376361076226234,
+    (2, 32): 0.10034010671995386,
+    (2, 64): 0.045511653604661806,
+    (3, 4): 0.8884477319511144,
+    (3, 8): 0.7462886428258347,
+    (3, 16): 0.5753622945188896,
+    (3, 32): 0.4194153964630567,
+    (3, 64): 0.29498878742729684,
+    (4, 4): 1.0,
+    (4, 8): 0.8569460169890475,
+    (4, 16): 0.7991258802480982,
+    (4, 32): 0.619341624235795,
+    (4, 64): 0.4902222319488453,
+}
+
+
+class TestPackingFloor:
+    @pytest.mark.parametrize("K", [2, 3, 4])
+    def test_median_over_seeds_meets_the_floor(self, K):
+        sizes = sorted(N for k, N in PACKING_FLOOR if k == K)
+        seeds = range(5)
+        # one packing run for all sizes and seeds, as library_codebooks packs
+        out = _pack([PackingConfig(K=K, cardinality=N, seed=s) for N in sizes for s in seeds])
+        for j, N in enumerate(sizes):
+            sets = out[j * len(seeds):(j + 1) * len(seeds)]
+            median = float(np.median([u.min_sq_dist for u in sets]))
+            assert median >= PACKING_FLOOR[K, N] * (1.0 - 1e-9), (K, N)
+            if K == 2:
+                for u in sets:
+                    assert u.min_sq_dist <= fejes_toth_limit(N) + 1e-12, N
 
 
 def restart_start(seed, restart, n, K):
@@ -141,10 +227,10 @@ class TestBatchedRestarts:
 
     def test_chunked_restarts_return_the_earliest_best_single_climb(self):
         # N = 64 climbs in stacks of 4, 4 and 1 restarts
-        cfg = PackingConfig(K=2, cardinality=64, restarts=9, iterations=40)
+        cfg = PackingConfig(K=3, cardinality=64, restarts=9, iterations=40)
         out = optimize_unitary(cfg)
         singles = [
-            _climb(restart_start(cfg.seed, r, 64, 2)[None], 40)[0]
+            _climb(restart_start(cfg.seed, r, 64, 3)[None], 40)[0]
             for r in range(9)
         ]
         scores = [UnitarySet(V).min_sq_dist for V in singles]
@@ -169,7 +255,7 @@ class TestBatchedRestarts:
         "N,sizes", [(2, [9]), (64, [4, 4, 1]), (128, [1] * 9), (256, [1] * 9), (512, [1] * 9)]
     )
     def test_chunks_stay_within_the_entry_budget(self, chunks, N, sizes):
-        optimize_unitary(PackingConfig(K=2, cardinality=N, restarts=9, iterations=1))
+        optimize_unitary(PackingConfig(K=3, cardinality=N, restarts=9, iterations=1))
         assert [R for R, _ in chunks] == sizes
         for R, n in chunks:
             assert n == N
@@ -195,15 +281,17 @@ class TestBatchedRestarts:
         np.testing.assert_array_equal(out.vectors, np.eye(64))
 
 
-# Packing runs with their number of restart stacks: seven for a library up
-# to N = 64 (N = 64 splits in two), nine for nine restarts at N >= 128.
+# Packing runs with their number of restart stacks: seven for a K = 3
+# library up to N = 64 (N = 64 splits in two), three for the K = 2 one (one
+# restart each at N = 16, 32, 64; N <= 8 is not climbed), nine for nine
+# restarts at N >= 128.
 POOL_CASES = {
-    "library-K2": (lambda: list(default_library(2, 6, iterations=60).values()), 7),
-    "library-K3": (lambda: list(default_library(3, 6, iterations=60).values()), 7),
+    "library-K2": (lambda: list(library_codebooks(2, range(7), iterations=60).values()), 3),
+    "library-K3": (lambda: list(library_codebooks(3, range(7), iterations=60).values()), 7),
     "N128": (lambda: [optimize_unitary(
-        PackingConfig(K=2, cardinality=128, restarts=9, iterations=10))], 9),
+        PackingConfig(K=3, cardinality=128, restarts=9, iterations=10))], 9),
     "N256": (lambda: [optimize_unitary(
-        PackingConfig(K=2, cardinality=256, restarts=9, iterations=3))], 9),
+        PackingConfig(K=3, cardinality=256, restarts=9, iterations=3))], 9),
 }
 
 
@@ -239,6 +327,42 @@ class TestPackingPool:
                 u.vectors.tobytes() for u in runs[1]
             ]
 
+    def test_workers_run_blas_on_one_thread(self):
+        # under a two-thread OpenBLAS the pool gives the in-process bytes, and
+        # each worker climbs with numpy's bundled OpenBLAS (when present) on
+        # one thread
+        script = textwrap.dedent("""
+            import ctypes, glob, os, numpy as np, klconst.unitary as U
+            runs = []
+            for cpus in (2, 1):
+                U._cpu_count = lambda c=cpus: c
+                lib = U.library_codebooks(3, range(7), iterations=60)
+                runs.append([u.vectors.tobytes() for u in lib.values()])
+            print(runs[0] == runs[1])
+            libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+            for path in glob.glob(os.path.join(libs, "*scipy_openblas*")):
+                get = ctypes.CDLL(path).scipy_openblas_get_num_threads64_
+                get.restype = ctypes.c_int
+
+                def checked(V, iterations):
+                    if get() != 1:
+                        raise RuntimeError(f"worker BLAS on {get()} threads")
+                    return V
+
+                U._climb, U._cpu_count = checked, lambda: 2
+                U.library_codebooks(3, range(7), iterations=1)
+                print(get(), "in the parent, 1 in the workers")
+        """)
+        src = str(Path(klconst.unitary.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="2"),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n")[0] == "True"
+        assert proc.stdout.split("\n")[1] in ("", "2 in the parent, 1 in the workers")
+
     def test_no_fork_climbs_in_process(self, monkeypatch, submits):
         monkeypatch.setattr(klconst.unitary, "_cpu_count", lambda: 2)
         monkeypatch.delattr(klconst.unitary.os, "fork")
@@ -257,8 +381,8 @@ class TestDefaultLibrary:
         np.testing.assert_array_equal(library_k2_ls2[0].vectors, [[1.0, 0.0]])
 
     def test_deterministic(self):
-        a = default_library(2, 1, seed=42)
-        b = default_library(2, 1, seed=42)
+        a = library_codebooks(2, range(2), seed=42)
+        b = library_codebooks(2, range(2), seed=42)
         np.testing.assert_array_equal(a[1].vectors, b[1].vectors)
 
 
