@@ -380,13 +380,17 @@ def _kl_direction(e_k, gap, sigma2):
 
 
 # Below this |x - 1| the energy term takes its series, whose remainder is
-# under 1e-20 relative there; t - log1p(t) would lose digits to cancellation
-SERIES_BELOW = 1e-4
+# under 2e-18 relative there; above it t - log1p(t) loses at most a few ulps
+# to cancellation (within 5e-15 relative from here up)
+SERIES_BELOW = 0.05
 
 
 def _energy_series(t):
-    # t - log1p(t) to O(t^7), for floats and arrays alike
-    return t * t * (0.5 - t * (1.0 / 3.0 - t * (0.25 - t * (0.2 - t / 6.0))))
+    # t - log1p(t) = sum over n >= 2 of (-t)^n / n through t^14, in Horner
+    # form, for floats and arrays alike
+    return t * t * (1 / 2 - t * (1 / 3 - t * (1 / 4 - t * (1 / 5 - t * (1 / 6 - t * (
+        1 / 7 - t * (1 / 8 - t * (1 / 9 - t * (1 / 10 - t * (1 / 11 - t * (
+            1 / 12 - t * (1 / 13 - t / 14))))))))))))
 
 
 def _kl_energy(e_i, e_k, sigma2):

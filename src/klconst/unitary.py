@@ -27,23 +27,17 @@ codebook (still one codebook per seed).
 
 The restarts of one packing climb together as (R, N, K) stacks, one numpy
 call per step for all of them, and each stack bounds its per-step (R, N, N)
-array to _CHUNK_ENTRIES entries.  Every stack of a run, across all the
-codebook sizes it packs, is climbed on a pool of forked worker processes,
-one per available CPU, each with its BLAS on one thread; with one CPU, one
-stack, nothing to climb, or no fork on the platform, the stacks are climbed
-in-process and multiprocessing is never imported.  Each restart only ever
-touches its own slice, so it ends on the same bits as a lone climb, and
-neither the stacking nor the worker count can change a codebook; ties
-between restarts still go to the earliest.  External codebooks (built by
-any other tool) can be loaded from the shared plain-text format instead.
+array to _CHUNK_ENTRIES entries.  The stacks of a run, across all the
+codebook sizes it packs, are climbed one after another in this process.
+Each restart only ever touches its own slice, so it ends on the same bits
+as a lone climb, and the stacking cannot change a codebook; ties between
+restarts still go to the earliest.  External codebooks (built by any other
+tool) can be loaded from the shared plain-text format instead.
 """
 
 from __future__ import annotations
 
-import ctypes
-import glob
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,9 +74,9 @@ STEP_DECAY = 1.0 / 30.0
 
 # Restarts are climbed together in stacks whose per-step (R, N, N) arrays
 # hold at most this many entries, one restart when N^2 alone exceeds it.
-# 2^14 splits the default 8 restarts at N = 64 into two stacks of 4, so
-# the largest size of a library spreads over two workers.
-_CHUNK_ENTRIES = 2**14
+# 2^16 bounds a step's float and complex arrays to about 1.5 MB, while the
+# default 8 restarts still climb as one stack up to N = 64.
+_CHUNK_ENTRIES = 2**16
 
 DEFAULT_RESTARTS = 8
 DEFAULT_ITERATIONS = 1500
@@ -96,10 +90,11 @@ class PackingConfig:
     """Knobs of one packing run.
 
     cardinality must be a power of two; restarts and iterations must be
-    >= 1; restarts left at None becomes 1 at K = 2, whose restarts only
-    rotate one layout, and DEFAULT_RESTARTS otherwise; seed, a 64-bit
-    unsigned integer, keys the counter-based restart streams, so a config
-    is fully reproducible.
+    >= 1; restarts left at None becomes 1 at K = 2 and DEFAULT_RESTARTS
+    otherwise.  At K = 2 every restart climbs a turn of one layout to the
+    same distance up to rounding, so restarts > 1 only repeats one climb.
+    seed, a 64-bit unsigned integer, keys the counter-based restart
+    streams, so a config is fully reproducible.
     """
 
     K: int
@@ -242,95 +237,35 @@ def _climb(V, iterations):
     return V
 
 
-def _cpu_count():
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _one_blas_thread():
-    """Pool initializer: put this worker's BLAS on one thread.
-
-    The workers already use every CPU between them, so a multi-threaded
-    BLAS in each would oversubscribe them.  Calls the thread setter of the
-    OpenBLAS bundled in numpy's wheel; with any other BLAS there is no such
-    symbol and the worker keeps the threading it inherited.
-    """
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in glob.glob(os.path.join(libs, "*scipy_openblas*")):
-        try:
-            setter = ctypes.CDLL(path).scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        setter.argtypes = [ctypes.c_int]
-        setter.restype = None
-        setter(1)
-
-
 def _pack(cfgs):
     """Best packing of each config, climbing every restart stack of the run.
 
     Restart r of a config starts from _starts, keyed (cfg.seed, r).  The
-    K = 2 closed forms (N = 2, 4, 8) are scored as they are; every other
-    config's starts are cut into stacks of at most
-    max(1, _CHUNK_ENTRIES // N^2) restarts.  The stacks of all configs are
-    climbed largest first on a fork-context process pool with one worker
-    per available CPU, at most one per stack, each worker's BLAS on one
-    thread (_one_blas_thread); they are climbed in-process instead when
-    there is one CPU or one stack, when no config needs a climb (N = 1 is
-    the canonical single vector), or when the platform cannot fork.  Fork
-    rather than spawn: a spawned worker would import numpy and this package
-    again, which costs much of what the pool saves; the executor forks all
-    its workers before it starts its own thread.  Each config's results are
-    then scored in restart order, and equal exact scores keep the earliest
-    restart's set, so the returned UnitarySets do not depend on the
-    stacking, the worker count or the finishing order.
+    K = 2 closed forms (N = 2, 4, 8) are scored as they are, and N = 1 is
+    the canonical single vector; every other config's starts are cut into
+    stacks of at most max(1, _CHUNK_ENTRIES // N^2) restarts and climbed
+    in config order.  Each config's results are scored in restart order,
+    and equal exact scores keep the earliest restart's set, so the returned
+    UnitarySets do not depend on the stacking.
     """
-    unclimbed = []  # (config index, starts scored as they are)
-    stacks = []  # (config index, stack of starts)
-    for i, cfg in enumerate(cfgs):
+    books = []
+    for cfg in cfgs:
         n = cfg.cardinality
-        if n == 1:
-            continue
-        starts = _starts(cfg)
-        if cfg.K == 2 and n in _BLOCH_CLOSED_FORMS:
-            unclimbed.append((i, starts))
-            continue
-        chunk = max(1, _CHUNK_ENTRIES // n**2)
-        stacks += [(i, starts[lo:lo + chunk]) for lo in range(0, cfg.restarts, chunk)]
-
-    jobs = [(V, cfgs[i].iterations) for i, V in stacks]
-    # largest first; one step of an (R, N, K) stack costs about R N^2 K
-    order = sorted(
-        range(len(jobs)),
-        key=lambda j: jobs[j][0].size * jobs[j][0].shape[1] * jobs[j][1],
-        reverse=True,
-    )
-    workers = min(_cpu_count(), len(jobs))
-    if workers > 1 and hasattr(os, "fork"):
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(
-            workers,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_one_blas_thread,
-        ) as pool:
-            futures = {j: pool.submit(_climb, *jobs[j]) for j in order}
-            climbed = {j: future.result() for j, future in futures.items()}
-    else:
-        climbed = {j: _climb(*jobs[j]) for j in order}
-
-    best_v = [canonical_direction(cfg.K)[None, :] for cfg in cfgs]
-    best_t = [-1.0] * len(cfgs)
-    finished = unclimbed + [(i, climbed[j]) for j, (i, _) in enumerate(stacks)]
-    for i, sets in finished:
-        for V in sets:
-            t = _min_sq_chordal(V)
-            if t > best_t[i]:
-                best_v[i], best_t[i] = V, t
-    return [UnitarySet(V) for V in best_v]
+        best_v, best_t = canonical_direction(cfg.K)[None, :], -1.0
+        if n > 1:
+            sets = _starts(cfg)
+            if not (cfg.K == 2 and n in _BLOCH_CLOSED_FORMS):
+                chunk = max(1, _CHUNK_ENTRIES // n**2)
+                sets = np.concatenate([
+                    _climb(sets[lo:lo + chunk], cfg.iterations)
+                    for lo in range(0, cfg.restarts, chunk)
+                ])
+            for V in sets:
+                t = _min_sq_chordal(V)
+                if t > best_t:
+                    best_v, best_t = V, t
+        books.append(UnitarySet(best_v))
+    return books
 
 
 def optimize_unitary(cfg):
@@ -338,11 +273,9 @@ def optimize_unitary(cfg):
 
     At K = 2 the restarts are turns of one Bloch-sphere layout, and the
     N = 2, 4, 8 layouts are not climbed (see the module docstring).  The
-    restarts are climbed as stacks on the packing pool described at
-    :func:`_pack`, in parallel when more than one CPU is available and
-    in-process otherwise; the result is bitwise the same at any worker
-    count.  Equal exact scores keep the earliest restart's set.  The
-    returned UnitarySet carries the exact recomputed distance.
+    restarts are climbed in stacks as described at :func:`_pack`; equal
+    exact scores keep the earliest restart's set.  The returned UnitarySet
+    carries the exact recomputed distance.
     """
     if not isinstance(cfg, PackingConfig):
         raise TypeError("cfg must be a PackingConfig")
@@ -372,10 +305,7 @@ def library_codebooks(K, l_vs, seed=0, restarts=None, iterations=DEFAULT_ITERATI
     (l_v = 0 is its canonical single vector; restarts=None is the
     PackingConfig default for K) with a per-size seed derived from the
     given one (splitmix increment), so each size is reproducible on its
-    own, whichever other sizes are asked for.  All sizes are climbed
-    together on one packing pool (see :func:`_pack`): forked workers, one
-    per available CPU, or in-process with one CPU or where fork is missing;
-    the codebooks are the same either way.
+    own, whichever other sizes are asked for.
     """
     l_vs = list(l_vs)
     cfgs = [

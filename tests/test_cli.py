@@ -315,9 +315,12 @@ class TestLazyLibrary:
             _build_library(parse_config(path, "design"), range(3))
         assert pack_calls == []
 
-    @pytest.mark.parametrize("mode", ["design", "kl-check"])
-    def test_runs_without_a_climb_never_import_multiprocessing(self, tmp_path, mode):
-        # the packing pool's import and fork would only add set-up time here
+    @pytest.mark.parametrize("mode", ["design", "kl-check", "pack-unitary"])
+    def test_no_mode_imports_multiprocessing(self, tmp_path, mode):
+        # packing climbs in this process, so no mode pays for importing
+        # multiprocessing or forking: not the runs that climb nothing
+        # (design with every size supplied, kl-check), nor a K = 3 packing
+        # of 8 restarts at N = 64
         if mode == "design":
             books = {f"unitary_library_{l_v}": tmp_path / f"u{l_v}.txt" for l_v in (1, 2)}
             books["unitary_library_1"].write_text("2 2\n1 0 0 0\n0 0 1 0\n")
@@ -327,9 +330,12 @@ class TestLazyLibrary:
             )
             cfg = write_config(tmp_path, K=2, l_s=2, snr_db_list="0", seed=5,
                                output_path=tmp_path / "d.csv", **books)
-        else:
+        elif mode == "kl-check":
             cfg = write_config(tmp_path, K=2, M=4, snr_db_list="0", trials=200,
                                pairs=2, seed=1, output_path=tmp_path / "kl.csv")
+        else:
+            cfg = write_config(tmp_path, K=3, l_s=6, seed=0, iterations=60,
+                               output_path=tmp_path / "u6.txt")
         script = (
             "import sys; from klconst.cli import main; code = main(sys.argv[1:]); "
             "print(code, 'multiprocessing' in sys.modules)"
@@ -340,7 +346,10 @@ class TestLazyLibrary:
             env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
             timeout=120,
         )
-        assert proc.stdout.split() == ["0", "False"], proc.stderr
+        lines = proc.stdout.splitlines()
+        # pack-unitary prints its summary line first
+        assert len(lines) == (2 if mode == "pack-unitary" else 1), proc.stderr
+        assert lines[-1].split() == ["0", "False"], proc.stderr
 
 
 class TestSerSweepMode:

@@ -1,12 +1,6 @@
 """Direction packing: chordal distances, Welch bound, optimizer, files."""
 
 import math
-import os
-import subprocess
-import sys
-import textwrap
-from concurrent.futures import ProcessPoolExecutor
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -226,11 +220,11 @@ class TestBatchedRestarts:
             assert stacked[r].tobytes() == alone[0].tobytes()
 
     def test_chunked_restarts_return_the_earliest_best_single_climb(self):
-        # N = 64 climbs in stacks of 4, 4 and 1 restarts
-        cfg = PackingConfig(K=3, cardinality=64, restarts=9, iterations=40)
+        # N = 128 climbs in stacks of 4, 4 and 1 restarts
+        cfg = PackingConfig(K=3, cardinality=128, restarts=9, iterations=40)
         out = optimize_unitary(cfg)
         singles = [
-            _climb(restart_start(cfg.seed, r, 64, 3)[None], 40)[0]
+            _climb(restart_start(cfg.seed, r, 128, 3)[None], 40)[0]
             for r in range(9)
         ]
         scores = [UnitarySet(V).min_sq_dist for V in singles]
@@ -242,7 +236,6 @@ class TestBatchedRestarts:
     def chunks(self, monkeypatch):
         """Record (R, N) of every _climb call and return its input."""
         seen = []
-        monkeypatch.setattr(klconst.unitary, "_cpu_count", lambda: 1)
 
         def recording(V, iterations):
             seen.append(V.shape[:2])
@@ -252,7 +245,7 @@ class TestBatchedRestarts:
         return seen
 
     @pytest.mark.parametrize(
-        "N,sizes", [(2, [9]), (64, [4, 4, 1]), (128, [1] * 9), (256, [1] * 9), (512, [1] * 9)]
+        "N,sizes", [(2, [9]), (64, [9]), (128, [4, 4, 1]), (256, [1] * 9), (512, [1] * 9)]
     )
     def test_chunks_stay_within_the_entry_budget(self, chunks, N, sizes):
         optimize_unitary(PackingConfig(K=3, cardinality=N, restarts=9, iterations=1))
@@ -264,7 +257,7 @@ class TestBatchedRestarts:
     def test_equal_scores_keep_the_earliest_restart(self, monkeypatch):
         # restart r returns the identity with its columns rolled by r: an
         # orthonormal set (distance exactly 1) of its own, across chunks of
-        # 4, 4 and 1, climbed in-process so that the patched _climb runs
+        # 4, 4 and 1
         offset = [0]
 
         def rolled(V, iterations):
@@ -274,100 +267,10 @@ class TestBatchedRestarts:
             return out
 
         monkeypatch.setattr(klconst.unitary, "_climb", rolled)
-        monkeypatch.setattr(klconst.unitary, "_cpu_count", lambda: 1)
-        out = optimize_unitary(PackingConfig(K=64, cardinality=64, restarts=9))
+        out = optimize_unitary(PackingConfig(K=128, cardinality=128, restarts=9))
         assert offset[0] == 9
         assert out.min_sq_dist == 1.0
-        np.testing.assert_array_equal(out.vectors, np.eye(64))
-
-
-# Packing runs with their number of restart stacks: seven for a K = 3
-# library up to N = 64 (N = 64 splits in two), three for the K = 2 one (one
-# restart each at N = 16, 32, 64; N <= 8 is not climbed), nine for nine
-# restarts at N >= 128.
-POOL_CASES = {
-    "library-K2": (lambda: list(library_codebooks(2, range(7), iterations=60).values()), 3),
-    "library-K3": (lambda: list(library_codebooks(3, range(7), iterations=60).values()), 7),
-    "N128": (lambda: [optimize_unitary(
-        PackingConfig(K=3, cardinality=128, restarts=9, iterations=10))], 9),
-    "N256": (lambda: [optimize_unitary(
-        PackingConfig(K=3, cardinality=256, restarts=9, iterations=3))], 9),
-}
-
-
-class TestPackingPool:
-    @pytest.fixture()
-    def submits(self, monkeypatch):
-        """Record the (R, N, K) shape of every stack handed to a worker."""
-        seen = []
-        real = ProcessPoolExecutor.submit
-
-        def counting(pool, fn, V, *args):
-            seen.append(V.shape)
-            return real(pool, fn, V, *args)
-
-        monkeypatch.setattr(ProcessPoolExecutor, "submit", counting)
-        return seen
-
-    @pytest.mark.parametrize("case", sorted(POOL_CASES))
-    def test_any_worker_count_climbs_the_same_bits(self, monkeypatch, submits, case):
-        pack, stacks = POOL_CASES[case]
-        runs = {}
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(klconst.unitary, "_cpu_count", lambda w=workers: w)
-            submits.clear()
-            runs[workers] = pack()
-            assert len(submits) == (0 if workers == 1 else stacks)
-            # largest first: here that is the largest N first
-            assert [n for _, n, _ in submits] == sorted(
-                (n for _, n, _ in submits), reverse=True
-            )
-        for workers in (2, 3):
-            assert [u.vectors.tobytes() for u in runs[workers]] == [
-                u.vectors.tobytes() for u in runs[1]
-            ]
-
-    def test_workers_run_blas_on_one_thread(self):
-        # under a two-thread OpenBLAS the pool gives the in-process bytes, and
-        # each worker climbs with numpy's bundled OpenBLAS (when present) on
-        # one thread
-        script = textwrap.dedent("""
-            import ctypes, glob, os, numpy as np, klconst.unitary as U
-            runs = []
-            for cpus in (2, 1):
-                U._cpu_count = lambda c=cpus: c
-                lib = U.library_codebooks(3, range(7), iterations=60)
-                runs.append([u.vectors.tobytes() for u in lib.values()])
-            print(runs[0] == runs[1])
-            libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-            for path in glob.glob(os.path.join(libs, "*scipy_openblas*")):
-                get = ctypes.CDLL(path).scipy_openblas_get_num_threads64_
-                get.restype = ctypes.c_int
-
-                def checked(V, iterations):
-                    if get() != 1:
-                        raise RuntimeError(f"worker BLAS on {get()} threads")
-                    return V
-
-                U._climb, U._cpu_count = checked, lambda: 2
-                U.library_codebooks(3, range(7), iterations=1)
-                print(get(), "in the parent, 1 in the workers")
-        """)
-        src = str(Path(klconst.unitary.__file__).resolve().parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="2"),
-            capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split("\n")[0] == "True"
-        assert proc.stdout.split("\n")[1] in ("", "2 in the parent, 1 in the workers")
-
-    def test_no_fork_climbs_in_process(self, monkeypatch, submits):
-        monkeypatch.setattr(klconst.unitary, "_cpu_count", lambda: 2)
-        monkeypatch.delattr(klconst.unitary.os, "fork")
-        POOL_CASES["N128"][0]()
-        assert submits == []
+        np.testing.assert_array_equal(out.vectors, np.eye(128))
 
 
 class TestDefaultLibrary:
