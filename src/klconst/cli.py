@@ -320,9 +320,9 @@ def run_design(cfg):
     out = Path(cfg.output_path)
     stem = out.with_suffix("")
     lines = [DESIGN_CSV_HEADER]
-    for idx, snr_db in enumerate(cfg.snr_db_list):
-        sigma2 = _sigma2_at(cfg.K, snr_db)
-        outcome = allocate_bits(cfg.l_s, sigma2, lib)
+    grid = [_sigma2_at(cfg.K, snr_db) for snr_db in cfg.snr_db_list]
+    outcomes = allocate_bits(cfg.l_s, grid, lib)
+    for idx, (snr_db, outcome) in enumerate(zip(cfg.snr_db_list, outcomes)):
         chosen = outcome.per_allocation_table[outcome.l_alpha]
         lines.append(f"{_g(snr_db)},{chosen.csv()}")
         table = [ALLOCATION_CSV_HEADER]

@@ -235,6 +235,43 @@ class UnitarySet:
         return f"UnitarySet(K={self.K}, size={self.size}, min_sq_dist={d})"
 
 
+def _chain_ratio(a, sigma2):
+    # (sigma2 + alpha_1^2) / (sigma2 + alpha_0^2) along the last axis
+    return (sigma2 + a[..., 1] * a[..., 1]) / (sigma2 + a[..., 0] * a[..., 0])
+
+
+def _check_level_rows(a, sigma2):
+    """Check each row of an (m, n) amplitude array as a level set designed
+    for the matching entry of sigma2 (a float or m floats).
+
+    A row must start nonnegative, increase strictly, have mean square 1
+    within POWER_TOL and, for n >= 2, noise-shifted energies on a geometric
+    chain within CHAIN_RTOL; the first failing check raises ValueError.
+    """
+    if np.any(a[:, 0] < 0.0):
+        raise ValueError(f"amplitudes must be nonnegative, got {a[:, 0].min()!r}")
+    if a.shape[1] > 1 and not np.all(np.diff(a) > 0.0):
+        raise ValueError("amplitudes must be strictly increasing")
+    power = np.mean(a * a, axis=1)
+    off = np.abs(power - 1.0) > POWER_TOL
+    if np.any(off):
+        raise ValueError(
+            f"mean squared amplitude {float(power[off][0])!r} violates the unit "
+            f"power constraint beyond {POWER_TOL}"
+        )
+    if a.shape[1] > 1:
+        s2 = np.reshape(sigma2, (-1, 1))
+        shifted = s2 + a * a
+        ratio = _chain_ratio(a, s2[:, 0])
+        chain = shifted[:, :1] * ratio[:, None] ** np.arange(a.shape[1])
+        err = np.max(np.abs(shifted - chain) / chain)
+        if err > CHAIN_RTOL:
+            raise ValueError(
+                f"energies deviate from the geometric chain by relative "
+                f"{err:.3e} (tolerance {CHAIN_RTOL})"
+            )
+
+
 class LevelSet:
     """Ordered amplitude levels alpha_0 < ... < alpha_{N-1} of a design.
 
@@ -252,28 +289,10 @@ class LevelSet:
         if a.ndim != 1 or a.size == 0:
             raise ValueError("amplitudes must be a non-empty 1-D real array")
         self._bits = _pow2_bits(a.size, "level set cardinality")
-        if a[0] < 0.0:
-            raise ValueError(f"amplitudes must be nonnegative, got {a[0]!r}")
-        if a.size > 1 and not np.all(np.diff(a) > 0.0):
-            raise ValueError("amplitudes must be strictly increasing")
-        power = float(np.mean(a * a))
-        if abs(power - 1.0) > POWER_TOL:
-            raise ValueError(
-                f"mean squared amplitude {power!r} violates the unit power "
-                f"constraint beyond {POWER_TOL}"
-            )
+        _check_level_rows(a[None, :], sigma2)
         a.flags.writeable = False
         self.amplitudes = a
         self.sigma2_design = sigma2
-        if a.size > 1:
-            shifted = sigma2 + a * a
-            chain = shifted[0] * self.ratio ** np.arange(a.size)
-            err = np.max(np.abs(shifted - chain) / chain)
-            if err > CHAIN_RTOL:
-                raise ValueError(
-                    f"energies deviate from the geometric chain by relative "
-                    f"{err:.3e} (tolerance {CHAIN_RTOL})"
-                )
 
     @property
     def ratio(self):
@@ -281,9 +300,7 @@ class LevelSet:
         chain; None for a single level."""
         if self.amplitudes.size == 1:
             return None
-        a0, a1 = self.amplitudes[:2].tolist()
-        s2 = self.sigma2_design
-        return (s2 + a1 * a1) / (s2 + a0 * a0)
+        return float(_chain_ratio(self.amplitudes, self.sigma2_design))
 
     @property
     def size(self):
@@ -375,8 +392,9 @@ class MultiLevelConstellation:
 # ---------------------------------------------------------------------------
 
 def _kl_direction(e_k, gap, sigma2):
-    # D1 = gap / (sigma2 (sigma2 + E_k)) for gap = E_k E_i - |s_k^T s_i^*|^2
-    return max(gap, 0.0) / (sigma2 * (sigma2 + e_k))
+    # D1 = gap / (sigma2 (sigma2 + E_k)) for gap = E_k E_i - |s_k^T s_i^*|^2,
+    # elementwise over broadcast arrays
+    return np.maximum(gap, 0.0) / (sigma2 * (sigma2 + e_k))
 
 
 # Below this |x - 1| the energy term takes its series, whose remainder is
@@ -394,19 +412,27 @@ def _energy_series(t):
 
 
 def _kl_energy(e_i, e_k, sigma2):
-    # D2 = x - ln x - 1 for x = (sigma2 + E_i)/(sigma2 + E_k), written in
-    # t = x - 1 = (E_i - E_k)/(sigma2 + E_k), which keeps the energies where
-    # sigma2 + E would round them away, and by the series near t = 0.  Below
-    # x = 1/2 it is formed from x itself: there t rounds to -1 once sigma2 +
-    # E_i falls under an ulp of sigma2 + E_k, and log1p(-1) is a domain error.
+    # D2 = x - ln x - 1 for x = (sigma2 + E_i)/(sigma2 + E_k), elementwise
+    # over broadcast arrays (a float for floats).  It is written in t = x - 1
+    # = (E_i - E_k)/(sigma2 + E_k), which keeps the energies where sigma2 + E
+    # would round them away, and by the series near t = 0.  Below x = 1/2 it
+    # is formed from x itself: there t rounds to -1 once sigma2 + E_i falls
+    # under an ulp of sigma2 + E_k, and log1p(-1) is a domain error.  Each
+    # branch is evaluated on its own elements only.
     den = sigma2 + e_k
-    t = (e_i - e_k) / den
-    if t < -0.5:
-        x = (sigma2 + e_i) / den
-        return x - 1.0 - math.log(x)
-    if abs(t) < SERIES_BELOW:
-        return _energy_series(t)
-    return max(t - math.log1p(t), 0.0)
+    t = np.asarray((e_i - e_k) / den, dtype=float)
+    far = t < -0.5
+    near = np.abs(t) < SERIES_BELOW
+    mid = ~(far | near)
+    d2 = np.empty_like(t)
+    if far.any():
+        x = np.broadcast_to((sigma2 + e_i) / den, t.shape)[far]
+        d2[far] = x - 1.0 - np.log(x)
+    if near.any():
+        d2[near] = _energy_series(t[near])
+    if mid.any():
+        d2[mid] = np.maximum(t[mid] - np.log1p(t[mid]), 0.0)
+    return d2 if d2.ndim else float(d2)
 
 
 def kl_full(s_i, s_k, sigma2):
@@ -433,7 +459,7 @@ def kl_full(s_i, s_k, sigma2):
     e_i = float(np.real(np.vdot(x, x)))
     e_k = float(np.real(np.vdot(y, y)))
     cross = abs(np.vdot(x, y)) ** 2
-    return _kl_direction(e_k, e_k * e_i - cross, sigma2) + _kl_energy(e_i, e_k, sigma2)
+    return float(_kl_direction(e_k, e_k * e_i - cross, sigma2) + _kl_energy(e_i, e_k, sigma2))
 
 
 def pairwise_kl_matrix(points, sigma2):
@@ -456,21 +482,8 @@ def pairwise_kl_matrix(points, sigma2):
         raise ValueError("points must be a non-empty (n, K) array")
     E = np.real(np.einsum("nk,nk->n", S.conj(), S))
     cross = np.abs(S @ S.conj().T) ** 2
-    num = np.maximum(np.outer(E, E) - cross, 0.0)
-    shifted = sigma2 + E
-    d1 = num / (sigma2 * shifted)[None, :]
-    # D2 as in _kl_energy: around x = 1 in t = x - 1, by the series near it,
-    # and from x itself below x = 1/2
-    t = (E[:, None] - E[None, :]) / shifted[None, :]
-    far = t < -0.5
-    near = np.abs(t) < SERIES_BELOW
-    mid = ~far & ~near
-    x = shifted[:, None] / shifted[None, :]
-    d2 = np.empty_like(t)
-    d2[far] = x[far] - 1.0 - np.log(x[far])
-    d2[near] = _energy_series(t[near])
-    d2[mid] = np.maximum(t[mid] - np.log1p(t[mid]), 0.0)
-    out = d1 + d2
+    out = _kl_direction(E[None, :], np.outer(E, E) - cross, sigma2)
+    out += _kl_energy(E[:, None], E[None, :], sigma2)
     np.fill_diagonal(out, 0.0)
     return out
 

@@ -21,16 +21,25 @@ average power constraint
 g falls and h rises along the feasible ratio range, so a plain bisection
 finds the balance point; the degenerate single-direction design instead
 pushes alpha_0 to zero and lets the power constraint fix the ratio.  One
-bisection helper serves both: it works on d = r - 1, which spans about
-1e-14 (-120 dB) to 1e5 and more (60 dB), and stops when the bracket is
-narrower than 1e-12 of its upper end, so the step count does not depend on
-the scale of d.  g and h are the core's direction and energy KL terms.  The
-bit split between levels and directions is chosen by building all l_s + 1
-allocations once and keeping the largest objective.
+bisection serves both: it works on d = r - 1, which spans about 1e-14
+(-120 dB) to 1e5 and more (60 dB), and stops when the bracket is narrower
+than 1e-12 of its upper end, so the step count does not depend on the scale
+of d.  g and h are the core's direction and energy KL terms.
+
+The solver is array-native.  Its helpers take broadcast arrays of
+(sigma2, n = 2^l_alpha, t), and one masked bisection solves a whole batch
+of ratio equations: each element keeps its own bracket, stopping rule and
+halving count, so it meets the same midpoints as when solved alone.
+allocate_bits chooses the bit split between levels and directions by
+solving every (sigma2, split) pair of its grid in one such pass, then
+building all l_s + 1 allocations per sigma2 as arrays and keeping the
+largest objective.  solve_bisection, build_level_set and
+energy_only_levels are the same kernel on a single problem.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -40,6 +49,8 @@ from .core import (
     LevelSet,
     MultiLevelConstellation,
     UnitarySet,
+    _chain_ratio,
+    _check_level_rows,
     _check_sigma2,
     _kl_direction,
     _kl_energy,
@@ -64,6 +75,18 @@ REL_TOL = 1e-12
 MAX_HALVINGS = 2200
 
 ALLOCATION_CSV_HEADER = "l_alpha,min_kl,r0,alpha0"
+
+
+def _strict(fn):
+    # Overflow, invalid and zero-divide results raise FloatingPointError (an
+    # ArithmeticError) in the design entries instead of flowing on as inf or
+    # NaN; a fresh errstate per call, so nested or threaded calls are safe.
+    @functools.wraps(fn)
+    def strict(*args, **kwargs):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return fn(*args, **kwargs)
+
+    return strict
 
 
 @dataclass(frozen=True)
@@ -120,18 +143,32 @@ class DesignOutcome:
 
 def _excess(d, n):
     # x = sum_{i<n} ((1 + d)^i - 1) = sum_{k>=1} C(n, k+1) d^k, the excess of
-    # sum_i r^i over n at r = 1 + d.  The closed form's subtraction magnifies
-    # rounding about 2/(n d) times, so for n d <= 1e-2 the positive series is
-    # summed to a 1e-17 term instead.
-    if n * d > 1e-2:
-        return (math.expm1(n * math.log1p(d)) - n * d) / d
-    term = total = 0.5 * n * (n - 1) * d
-    k = 1
-    while term > 1e-17 * total:
-        term *= (n - k - 1) / (k + 2) * d
-        total += term
-        k += 1
-    return total
+    # sum_i r^i over n at r = 1 + d, elementwise over d and n of one shape.
+    # The closed form's subtraction magnifies rounding about 2/(n d) times,
+    # so for n d <= 1e-2 the positive series is summed to a 1e-17 term
+    # instead.  Each branch runs on its own elements only.
+    d, n = np.asarray(d, dtype=float), np.asarray(n, dtype=float)
+    x = np.empty(d.shape)
+    closed = n * d > 1e-2
+    if closed.any():
+        dc, nc = d[closed], n[closed]
+        x[closed] = (np.expm1(nc * np.log1p(dc)) - nc * dc) / dc
+    series = ~closed
+    if series.any():
+        ds, ns = d[series], n[series]
+        term = 0.5 * ns * (ns - 1) * ds
+        total = term.copy()
+        live = np.arange(term.size)
+        k = 1
+        while True:
+            live = live[term[live] > 1e-17 * total[live]]
+            if not live.size:
+                break
+            term[live] *= (ns[live] - k - 1) / (k + 2) * ds[live]
+            total[live] += term[live]
+            k += 1
+        x[series] = total
+    return x
 
 
 def _base_amp_sq(d, n_levels, sigma2):
@@ -152,30 +189,47 @@ def _next_energy(e, d, sigma2):
 
 
 def _level_energies(e0, d, sigma2, n_levels):
-    # alpha_i^2 for i < n_levels, each level one _next_energy step up
-    e = [e0]
-    for _ in range(n_levels - 1):
-        e.append(_next_energy(e[-1], d, sigma2))
+    # alpha_i^2 for i < n_levels along a new last axis, each level one
+    # _next_energy step up, for broadcast arrays of (e0, d, sigma2)
+    e0, d, sigma2 = np.broadcast_arrays(e0, d, sigma2)
+    e = np.empty(e0.shape + (n_levels,))
+    e[..., 0] = e0
+    for i in range(1, n_levels):
+        e[..., i] = _next_energy(e[..., i - 1], d, sigma2)
     return e
 
 
-def _bisect(holds, lo, hi):
-    """Shrink a bracket on d = r - 1 with holds(lo) true and holds(hi) false.
+def _bisect(holds, lo, hi, *args):
+    """Shrink brackets on d = r - 1 with holds(lo) true and holds(hi) false.
 
-    Halves until hi - lo <= REL_TOL * hi, or until no float lies strictly
-    between the ends.  The rule is scale-free, so it ends in about 40 halvings
-    plus log2 of the bracket's overshoot whatever the magnitude of d.
-    Returns (lo, hi, halvings).
+    lo, hi and args are 1-D arrays of one length; holds(mid, *args) is
+    evaluated on the live elements only, with args taken at the same
+    elements.  Each element halves its bracket until hi - lo <= REL_TOL * hi,
+    or until no float lies strictly between its ends.  The rule is
+    scale-free, so it ends in about 40 halvings plus log2 of the bracket's
+    overshoot whatever the magnitude of d.  Returns (lo, hi, halvings).
     """
-    for halvings in range(MAX_HALVINGS):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= REL_TOL * hi or not lo < mid < hi:
+    lo_live, hi_live, live = lo, hi, np.arange(lo.size)
+    lo, hi, halvings = np.empty(lo.shape), np.empty(hi.shape), np.zeros(lo.shape, dtype=int)
+    for k in range(MAX_HALVINGS):
+        mid = 0.5 * (lo_live + hi_live)
+        wide = (hi_live - lo_live > REL_TOL * hi_live) & (lo_live < mid) & (mid < hi_live)
+        if not wide.all():
+            done = live[~wide]
+            lo[done], hi[done], halvings[done] = lo_live[~wide], hi_live[~wide], k
+            live, lo_live, hi_live, mid = live[wide], lo_live[wide], hi_live[wide], mid[wide]
+            args = tuple(a[wide] for a in args)
+        if not live.size:
             return lo, hi, halvings
-        if holds(mid):
-            lo = mid
-        else:
-            hi = mid
+        up = holds(mid, *args)
+        lo_live = np.where(up, mid, lo_live)
+        hi_live = np.where(up, hi_live, mid)
     raise ArithmeticError(f"bisection did not settle in {MAX_HALVINGS} halvings")
+
+
+def _feasible(d, n_levels, sigma2):
+    # the base amplitude at ratio 1 + d is nonnegative
+    return sigma2 * _excess(d, n_levels) <= n_levels
 
 
 def _feasible_ratio_ceiling(n_levels, sigma2):
@@ -183,29 +237,70 @@ def _feasible_ratio_ceiling(n_levels, sigma2):
 
     The power constraint pins (sigma2 + alpha_0^2)(n + x) = n (1 + sigma2)
     for the excess x = _excess(d, n), so the ceiling solves sigma2 x = n;
-    located by doubling d from 1 past the boundary and bisecting from 0.
-    The returned d is the feasible end of the final bracket.
+    located elementwise over 1-D arrays by doubling d from 1 past the
+    boundary and bisecting from 0.  The returned d is the feasible end of
+    each final bracket.  A doubling that overflows raises under _strict.
     """
-
-    def holds(d):
-        return sigma2 * _excess(d, n_levels) <= n_levels
-
-    hi = 1.0
-    while holds(hi):
-        hi *= 2.0
-        if not math.isfinite(hi):
-            raise ArithmeticError("feasibility boundary search diverged")
-    return _bisect(holds, 0.0, hi)[0]
+    hi = np.ones(n_levels.shape)
+    live = np.flatnonzero(_feasible(hi, n_levels, sigma2))
+    while live.size:
+        hi[live] *= 2.0
+        live = live[_feasible(hi[live], n_levels[live], sigma2[live])]
+    return _bisect(_feasible, np.zeros(hi.shape), hi, n_levels, sigma2)[0]
 
 
 def _balance(d, n_levels, t_v, sigma2):
     # Intra distance of the base level minus the inter distance of the two
     # lowest levels at ratio 1 + d; falls from positive to negative in d.
-    e0 = max(_base_amp_sq(d, n_levels, sigma2), 0.0)
+    e0 = np.maximum(_base_amp_sq(d, n_levels, sigma2), 0.0)
     e1 = _next_energy(e0, d, sigma2)
     return _kl_direction(e0, e0 * e0 * t_v, sigma2) - _kl_energy(e0, e1, sigma2)
 
 
+def _rising(d, n_levels, t_v, sigma2):
+    # d lies below the balance root: the intra distance still exceeds the inter
+    return _balance(d, n_levels, t_v, sigma2) > 0.0
+
+
+def _solve_ratios(sigma2, n_levels, t_v):
+    """d = r - 1 and bisection halvings for 1-D arrays of design problems.
+
+    Every element first gets its feasibility ceiling, all in one masked
+    pass.  Where t_v is finite, a second pass bisects (0, ceiling] for the
+    balance of g and h.  Where t_v is +inf (one direction, no intra
+    distance) the ceiling is the answer and the halvings are 0.
+    """
+    ceiling = _feasible_ratio_ceiling(n_levels, sigma2)
+    d = ceiling.copy()
+    halvings = np.zeros(d.shape, dtype=int)
+    b = np.flatnonzero(np.isfinite(t_v))
+    args = n_levels[b], t_v[b], sigma2[b]
+    no_change = _rising(ceiling[b], *args)
+    if np.any(no_change):
+        i = b[np.argmax(no_change)]
+        raise ArithmeticError(
+            f"no sign change on the ratio bracket (1, {float(1.0 + ceiling[i])!r}); "
+            f"inputs sigma2={float(sigma2[i])!r}, "
+            f"l_alpha={int(n_levels[i]).bit_length() - 1}, t_v={float(t_v[i])!r}"
+        )
+    lo, hi, halvings[b] = _bisect(_rising, np.zeros(b.size), ceiling[b], *args)
+    d[b] = 0.5 * (lo + hi)
+    return d, halvings
+
+
+def _check_split(sigma2, l_alpha):
+    sigma2 = _check_sigma2(sigma2)
+    if l_alpha < 1:
+        raise ValueError(f"l_alpha must be >= 1, got {l_alpha}")
+    return sigma2, 2**l_alpha
+
+
+def _check_t_v(t_v):
+    if not (math.isfinite(t_v) and t_v > 0.0):
+        raise ValueError(f"t_v must be finite and positive, got {t_v!r}")
+
+
+@_strict
 def solve_bisection(sigma2, l_alpha, t_v):
     """Equalize the intra and inter objectives by bisection on the ratio.
 
@@ -233,31 +328,22 @@ def solve_bisection(sigma2, l_alpha, t_v):
     feasibility ceiling (g vanishes with alpha_0), so the sign change is
     guaranteed; it is still guarded to fail loudly on numeric surprises.
     """
-    sigma2 = _check_sigma2(sigma2)
-    if l_alpha < 1:
-        raise ValueError(f"l_alpha must be >= 1, got {l_alpha}")
-    if not (math.isfinite(t_v) and t_v > 0.0):
-        raise ValueError(f"t_v must be finite and positive, got {t_v!r}")
-    n = 2**l_alpha
-    hi = _feasible_ratio_ceiling(n, sigma2)
-    if _balance(hi, n, t_v, sigma2) > 0.0:
-        raise ArithmeticError(
-            f"no sign change on the ratio bracket (1, {1.0 + hi!r}); inputs "
-            f"sigma2={sigma2!r}, l_alpha={l_alpha}, t_v={t_v!r}"
-        )
-    lo, hi, iterations = _bisect(lambda d: _balance(d, n, t_v, sigma2) > 0.0, 0.0, hi)
-    d = 0.5 * (lo + hi)
-    alpha_sq = max(_base_amp_sq(d, n, sigma2), 0.0)
-    power = float(np.mean(_level_energies(alpha_sq, d, sigma2, n)))
+    sigma2, n = _check_split(sigma2, l_alpha)
+    _check_t_v(t_v)
+    s2, nn, tt = np.array([sigma2]), np.array([float(n)]), np.array([t_v])
+    d, halvings = _solve_ratios(s2, nn, tt)
+    alpha_sq = np.maximum(_base_amp_sq(d, nn, s2), 0.0)
+    power = float(np.mean(_level_energies(alpha_sq, d, s2, n)))
     return BisectionResult(
-        d=d,
-        alpha0=math.sqrt(alpha_sq),
-        iterations=iterations,
-        residual_equality=abs(_balance(d, n, t_v, sigma2)),
+        d=float(d[0]),
+        alpha0=math.sqrt(alpha_sq[0]),
+        iterations=int(halvings[0]),
+        residual_equality=abs(float(_balance(d, nn, tt, s2)[0])),
         residual_power=abs(power - 1.0),
     )
 
 
+@_strict
 def build_level_set(res, sigma2, l_alpha):
     """Amplitudes of the designed levels from a bisection result.
 
@@ -265,12 +351,10 @@ def build_level_set(res, sigma2, l_alpha):
     _next_energy step up, alpha_{i+1}^2 = alpha_i^2 + d (sigma2 + alpha_i^2)
     with d = res.d, for 2^l_alpha levels; l_alpha must be >= 1.
     """
-    sigma2 = _check_sigma2(sigma2)
-    if l_alpha < 1:
-        raise ValueError(f"l_alpha must be >= 1, got {l_alpha}")
+    sigma2, n = _check_split(sigma2, l_alpha)
     if not isinstance(res, BisectionResult):
         raise TypeError("res must be a BisectionResult")
-    radicand = np.array(_level_energies(res.alpha0**2, res.d, sigma2, 2**l_alpha))
+    radicand = _level_energies(res.alpha0 * res.alpha0, res.d, sigma2, n)
     if np.any(radicand < 0.0):
         raise ArithmeticError(
             "negative squared amplitude; the bisection result does not "
@@ -279,6 +363,15 @@ def build_level_set(res, sigma2, l_alpha):
     return LevelSet(np.sqrt(radicand), sigma2)
 
 
+def _energy_only_energies(d, sigma2, n_levels):
+    # levels of the single-direction design from its ratio ceiling d: a zero
+    # base level, which for two levels leaves alpha_1^2 = 2 exactly
+    if n_levels == 2:
+        return np.broadcast_to([0.0, 2.0], np.shape(sigma2) + (2,))
+    return _level_energies(0.0, d, sigma2, n_levels)
+
+
+@_strict
 def energy_only_levels(sigma2, l_alpha):
     """Levels of the single-direction (all-energy) design.
 
@@ -287,20 +380,18 @@ def energy_only_levels(sigma2, l_alpha):
     the power constraint is saturated at alpha_0 = 0:
 
         2^l_alpha (sigma2 + 1) = sigma2 (r^{2^l_alpha} - 1)/(r - 1).
+
+    That is the feasibility ceiling of the general solver, whose t = +inf
+    case returns it; two levels take the closed form {0, sqrt(2)}.
     """
-    sigma2 = _check_sigma2(sigma2)
-    if l_alpha < 1:
-        raise ValueError(f"l_alpha must be >= 1, got {l_alpha}")
-    n = 2**l_alpha
-    if n == 2:
-        # linear case in closed form: a zero base level leaves alpha_1^2 = 2
-        return LevelSet([0.0, math.sqrt(2.0)], sigma2)
-    # Same boundary as the feasibility ceiling of the general solver: the
-    # ratio at which the power identity holds with a zero base level.
-    d = _feasible_ratio_ceiling(n, sigma2)
-    return LevelSet(np.sqrt(_level_energies(0.0, d, sigma2, n)), sigma2)
+    sigma2, n = _check_split(sigma2, l_alpha)
+    d = None
+    if n > 2:
+        d = _solve_ratios(np.array([sigma2]), np.array([float(n)]), np.array([math.inf]))[0][0]
+    return LevelSet(np.sqrt(_energy_only_energies(d, sigma2, n)), sigma2)
 
 
+@_strict
 def allocate_bits(l_s, sigma2, unitary_library):
     """Choose the bit split l_alpha + l_v = l_s with the largest objective.
 
@@ -308,20 +399,25 @@ def allocate_bits(l_s, sigma2, unitary_library):
     ----------
     l_s : int
         Total bits per block, >= 1.
-    sigma2 : float
-        Design noise variance.
+    sigma2 : float or 1-D sequence of floats
+        Design noise variance, or a grid of them designed in one pass.
     unitary_library : mapping l_v -> UnitarySet
         Must contain an entry of cardinality 2^l_v for every l_v in 0..l_s
         (the 0 entry being a canonical single vector).
 
     Returns
     -------
-    DesignOutcome
+    DesignOutcome, or a list of them in grid order for a sequence
         The argmax allocation (ties toward smaller l_alpha, which keeps the
         level detection stage smaller), the built constellation, and the
-        full candidate table.
+        full candidate table.  A grid gives each sigma2 the outcome it gets
+        alone, to the bit.
     """
-    sigma2 = _check_sigma2(sigma2)
+    grid = np.ndim(sigma2) > 0
+    values = np.asarray(sigma2, dtype=float)
+    if values.ndim > 1:
+        raise ValueError(f"sigma2 must be a float or a 1-D sequence, got shape {values.shape}")
+    s2 = np.array([_check_sigma2(s) for s in values.reshape(-1).tolist()])
     if l_s < 1:
         raise ValueError(f"l_s must be >= 1, got {l_s}")
     for l_v in range(l_s + 1):
@@ -333,34 +429,65 @@ def allocate_bits(l_s, sigma2, unitary_library):
                 f"unitary library entry for l_v={l_v} must be a UnitarySet "
                 f"of cardinality {2 ** l_v}"
             )
-    rows = []
+    t = [unitary_library[l_s - l_alpha].min_sq_dist for l_alpha in range(l_s + 1)]
+    for t_v in t[1:l_s]:
+        _check_t_v(t_v)
+
+    # One pass over every (sigma2, l_alpha) pair the solver serves: the
+    # balance for 1 <= l_alpha < l_s and the ceiling for l_alpha = l_s, whose
+    # single-direction entry has t = inf; two levels take the closed form.
+    solved = range(1, l_s + 1) if l_s > 1 else range(0)
+    shape = (s2.size, len(solved))
+    d = _solve_ratios(
+        np.broadcast_to(s2[:, None], shape).ravel(),
+        np.broadcast_to([2.0**l_alpha for l_alpha in solved], shape).ravel(),
+        np.broadcast_to([t[l_alpha] for l_alpha in solved], shape).ravel(),
+    )[0].reshape(shape)
+
+    amps, min_kl, r0, alpha0 = [], [], [], []
     for l_alpha in range(l_s + 1):
-        t_v = unitary_library[l_s - l_alpha].min_sq_dist
+        n = 2**l_alpha
+        d_row = d[:, l_alpha - 1] if l_alpha in solved else None
         if l_alpha == 0:
-            levels = LevelSet([1.0], sigma2)
-            r0, alpha0 = None, 1.0
-        elif l_alpha == l_s:
-            levels = energy_only_levels(sigma2, l_alpha)
-            r0, alpha0 = levels.ratio, 0.0
+            a = np.ones((s2.size, 1))
+            r0.append([None] * s2.size)
+            alpha0.append([1.0] * s2.size)
+        elif l_alpha < l_s:
+            a0 = np.sqrt(np.maximum(_base_amp_sq(d_row, np.full(s2.size, float(n)), s2), 0.0))
+            a = np.sqrt(_level_energies(a0 * a0, d_row, s2, n))
+            r0.append((1.0 + d_row).tolist())
+            alpha0.append(a0.tolist())
         else:
-            res = solve_bisection(sigma2, l_alpha, t_v)
-            levels = build_level_set(res, sigma2, l_alpha)
-            r0, alpha0 = res.r0, res.alpha0
+            a = np.sqrt(_energy_only_energies(d_row, s2, n))
+            r0.append(_chain_ratio(a, s2).tolist())
+            alpha0.append([0.0] * s2.size)
+        _check_level_rows(a, s2)
+        amps.append(a)
         # The minimum over all point pairs sits inside the lowest level or
         # between consecutive levels, so only those terms are evaluated.
-        e = [a * a for a in levels.amplitudes.tolist()]
-        min_kl = math.inf
-        if not math.isinf(t_v):
-            min_kl = _kl_direction(e[0], e[0] * e[0] * t_v, sigma2)
-        for e_lo, e_hi in zip(e, e[1:]):
-            min_kl = min(min_kl, _kl_energy(e_lo, e_hi, sigma2))
-        rows.append(AllocationRow(l_alpha, min_kl, r0, alpha0))
-        if len(rows) == 1 or min_kl > best.min_kl:
-            best, best_levels = rows[-1], levels
-    return DesignOutcome(
-        l_alpha=best.l_alpha,
-        constellation=MultiLevelConstellation(
-            best_levels, unitary_library[l_s - best.l_alpha]
-        ),
-        per_allocation_table=rows,
-    )
+        e = a * a
+        kl = np.full(s2.size, math.inf)
+        if not math.isinf(t[l_alpha]):
+            kl = _kl_direction(e[:, 0], e[:, 0] * e[:, 0] * t[l_alpha], s2)
+        if n > 1:
+            kl = np.minimum(kl, _kl_energy(e[:, :-1], e[:, 1:], s2[:, None]).min(axis=1))
+        min_kl.append(kl.tolist())
+
+    best = np.argmax(np.array(min_kl), axis=0).tolist()
+    outcomes = []
+    for p, l_alpha in enumerate(best):
+        rows = [
+            AllocationRow(i, min_kl[i][p], r0[i][p], alpha0[i][p])
+            for i in range(l_s + 1)
+        ]
+        levels = LevelSet(amps[l_alpha][p], s2[p])
+        outcomes.append(
+            DesignOutcome(
+                l_alpha=l_alpha,
+                constellation=MultiLevelConstellation(
+                    levels, unitary_library[l_s - l_alpha]
+                ),
+                per_allocation_table=rows,
+            )
+        )
+    return outcomes if grid else outcomes[0]

@@ -255,6 +255,27 @@ class TestDesignMode:
             c = load_constellation(tmp_path / f"low_point{idx:02d}_constellation.txt")
             assert abs(np.mean(c.levels.amplitudes**2) - 1.0) <= 1e-9
 
+    @pytest.mark.parametrize(
+        "snr_db,code", [(1600, 3), (-1600, 3), (1530, 0), (-1540, 0)]
+    )
+    def test_ends_of_the_snr_axis(self, tmp_path, capsys, library_k2_ls6, snr_db,
+                                  code):
+        # designs hold from -1540 dB to 1530 dB; past 1540 dB the level-energy
+        # sum overflows and below -1550 dB the KL distances underflow, and
+        # either end is a numeric failure, not a crash or a silent inf
+        books = {}
+        for l_v, uset in library_k2_ls6.items():
+            books[f"unitary_library_{l_v}"] = tmp_path / f"u{l_v}.txt"
+            klconst.unitary.save_unitary(uset, books[f"unitary_library_{l_v}"])
+        cfg = write_config(tmp_path, K=2, l_s=6, snr_db_list=snr_db, seed=0,
+                           output_path=tmp_path / "end.csv", **books)
+        assert main(["design", "--config", str(cfg)]) == code
+        if code:
+            assert "numeric failure" in capsys.readouterr().err
+        else:
+            rows = (tmp_path / "end.csv").read_text().splitlines()
+            assert [row.split(",")[0] for row in rows[1:]] == [str(snr_db)]
+
     def test_rerun_is_byte_identical(self, tmp_path, design_cfg):
         main(["design", "--config", str(design_cfg)])
         first = (tmp_path / "out" / "design.csv").read_bytes()

@@ -327,30 +327,60 @@ class TestRegressionGrid:
     sign change (K=2, l_s=6)."""
 
     def test_designs_hold_power_and_objective(self, rng, monkeypatch):
-        iterations = []
-        real = multilevel.solve_bisection
+        # every bisection's halvings, ceilings included, read off the kernel
+        halvings = []
+        real = multilevel._bisect
 
         def recording(*args):
-            res = real(*args)
-            iterations.append(res.iterations)
-            return res
+            lo, hi, counts = real(*args)
+            halvings.extend(counts.tolist())
+            return lo, hi, counts
 
-        monkeypatch.setattr(multilevel, "solve_bisection", recording)
+        monkeypatch.setattr(multilevel, "_bisect", recording)
         libs = {K: random_library(K, 8, rng) for K in (2, 4)}
-        cases = [
-            (K, l_s, -120.0 + 5.0 * i)
-            for K in (2, 4)
-            for l_s in range(1, 9)
-            for i in range(37)
+        # 642 cases, one grid call per (K, l_s)
+        snrs = [-120.0 + 5.0 * i for i in range(37)] + [-150.0, -200.0, -300.0]
+        cases = [(K, l_s, snrs) for K in (2, 4) for l_s in range(1, 9)]
+        cases += [(2, 6, [-19.5, -18.75])]
+        for K, l_s, grid in cases:
+            sigma2 = [ChannelParams.from_snr_db(1, K, snr_db).sigma2 for snr_db in grid]
+            outcomes = allocate_bits(l_s, sigma2, libs[K])
+            for snr_db, s2, out in zip(grid, sigma2, outcomes, strict=True):
+                amps = out.constellation.levels.amplitudes
+                assert abs(np.mean(amps**2) - 1.0) <= 1e-9, (K, l_s, snr_db)
+                brute, _ = min_kl_bruteforce(out.constellation, s2)
+                assert out.min_kl == pytest.approx(brute, rel=1e-9), (K, l_s, snr_db)
+        assert halvings and max(halvings) < multilevel.MAX_HALVINGS
+
+
+class TestGridCalls:
+    """allocate_bits over a grid of sigma2 gives each point its lone design."""
+
+    @pytest.mark.parametrize("K", [2, 4])
+    def test_grid_matches_point_by_point(self, rng, K):
+        lib = random_library(K, 6, rng)
+        grid = [
+            ChannelParams.from_snr_db(1, K, snr_db).sigma2
+            for snr_db in (-300.0, -19.5, 0.0, 200.0, 0.0)
         ]
-        cases += [(K, l_s, snr_db) for K in (2, 4) for l_s in range(1, 9)
-                  for snr_db in (-150.0, -200.0, -300.0)]
-        cases += [(2, 6, -19.5), (2, 6, -18.75)]
-        for K, l_s, snr_db in cases:
-            sigma2 = ChannelParams.from_snr_db(1, K, snr_db).sigma2
-            out = allocate_bits(l_s, sigma2, libs[K])
-            amps = out.constellation.levels.amplitudes
-            assert abs(np.mean(amps**2) - 1.0) <= 1e-9, (K, l_s, snr_db)
-            brute, _ = min_kl_bruteforce(out.constellation, sigma2)
-            assert out.min_kl == pytest.approx(brute, rel=1e-9), (K, l_s, snr_db)
-        assert iterations and max(iterations) < multilevel.MAX_HALVINGS
+        outcomes = allocate_bits(6, grid, lib)
+        assert len(outcomes) == len(grid)
+        def bits(out):
+            # repr round-trips every float, so equal strings are equal bits
+            rows = [(r.l_alpha, r.min_kl, r.r0, r.alpha0) for r in out.per_allocation_table]
+            return out.l_alpha, repr(rows), out.constellation.levels.amplitudes.tobytes()
+
+        for sigma2, out in zip(grid, outcomes):
+            assert bits(out) == bits(allocate_bits(6, sigma2, lib))
+        assert outcomes[2].per_allocation_table == outcomes[4].per_allocation_table
+
+    def test_failing_point_fails_the_grid(self, rng):
+        # at 1600 dB the level-energy sum overflows
+        lib = random_library(2, 6, rng)
+        bad = ChannelParams.from_snr_db(1, 2, 1600.0).sigma2
+        good = ChannelParams.from_snr_db(1, 2, 0.0).sigma2
+        with pytest.raises(ArithmeticError) as alone:
+            allocate_bits(6, bad, lib)
+        with pytest.raises(ArithmeticError) as grid:
+            allocate_bits(6, [good, bad, good], lib)
+        assert type(grid.value) is type(alone.value)
