@@ -349,13 +349,18 @@ def run_ser_sweep(cfg):
     else:
         sizes = []
     lib = _build_library(cfg, sizes)
+    # the whole SNR list is designed before any trial, so a failing point
+    # fails the run before any Monte-Carlo
+    outcomes = [None] * len(cfg.snr_db_list)
+    if "multilevel" in cfg.schemes:
+        grid = [_sigma2_at(cfg.K, snr_db) for snr_db in cfg.snr_db_list]
+        outcomes = allocate_bits(cfg.l_s, grid, lib)
     lines = [RESULT_CSV_HEADER]
-    for snr_db in cfg.snr_db_list:
+    for snr_db, outcome in zip(cfg.snr_db_list, outcomes):
         params = ChannelParams.from_snr_db(cfg.M, cfg.K, snr_db)
         sigma2 = params.sigma2
         for scheme in cfg.schemes:
             if scheme == "multilevel":
-                outcome = allocate_bits(cfg.l_s, sigma2, lib)
                 est = estimate_ser(outcome.constellation, params, cfg.trials, cfg.seed)
                 l_alpha = str(outcome.l_alpha)
             elif scheme == "unitary":

@@ -25,9 +25,8 @@ still draws a whole block Y for demos and tests.
 
 All estimators draw from counter-based Philox substreams keyed by
 (seed, substream index), with trials partitioned into fixed substreams of
-2048 regardless of how the work is scheduled, so a given seed produces the
-same counts no matter how many workers run the batches or in what order.
-Within a substream the draw order is: the message indices of every trial
+2048, so a given seed produces the same counts.  Within a substream the
+draw order is: the message indices of every trial
 (none for the KL estimator); then the gamma diagonal entries, trial by
 trial and i = 0..r-1 within a trial; then the real parts of the entries
 above the diagonal, trial by trial and row by row within a trial, and

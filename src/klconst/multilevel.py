@@ -27,14 +27,17 @@ than 1e-12 of its upper end, so the step count does not depend on the scale
 of d.  g and h are the core's direction and energy KL terms.
 
 The solver is array-native.  Its helpers take broadcast arrays of
-(sigma2, n = 2^l_alpha, t), and one masked bisection solves a whole batch
-of ratio equations: each element keeps its own bracket, stopping rule and
-halving count, so it meets the same midpoints as when solved alone.
-allocate_bits chooses the bit split between levels and directions by
-solving every (sigma2, split) pair of its grid in one such pass, then
-building all l_s + 1 allocations per sigma2 as arrays and keeping the
-largest objective.  solve_bisection, build_level_set and
-energy_only_levels are the same kernel on a single problem.
+(sigma2, n = 2^l_alpha, t), and one bisection solves a whole batch of
+ratio equations in whole-array steps: an element whose bracket has met the
+stopping rule keeps its bracket and halving count, and is evaluated only at
+its lower end from then on, so every element meets the same midpoints as
+when solved alone.  One builder, _amplitudes, turns a split's base
+amplitude and ratio into its levels.  allocate_bits chooses the bit split
+between levels and directions by solving every (sigma2, split) pair of its
+grid in one such pass, then building all l_s + 1 allocations per sigma2 as
+arrays and keeping the largest objective.  solve_bisection,
+build_level_set and energy_only_levels are the same kernel and builder on
+a single problem.
 """
 
 from __future__ import annotations
@@ -146,7 +149,9 @@ def _excess(d, n):
     # sum_i r^i over n at r = 1 + d, elementwise over d and n of one shape.
     # The closed form's subtraction magnifies rounding about 2/(n d) times,
     # so for n d <= 1e-2 the positive series is summed to a 1e-17 term
-    # instead.  Each branch runs on its own elements only.
+    # instead.  Each branch runs on its own elements only; the series runs
+    # until no element's last term exceeds 1e-17 of its total, and the
+    # terms that follow are below half an ulp of a finished total.
     d, n = np.asarray(d, dtype=float), np.asarray(n, dtype=float)
     x = np.empty(d.shape)
     closed = n * d > 1e-2
@@ -158,14 +163,10 @@ def _excess(d, n):
         ds, ns = d[series], n[series]
         term = 0.5 * ns * (ns - 1) * ds
         total = term.copy()
-        live = np.arange(term.size)
         k = 1
-        while True:
-            live = live[term[live] > 1e-17 * total[live]]
-            if not live.size:
-                break
-            term[live] *= (ns[live] - k - 1) / (k + 2) * ds[live]
-            total[live] += term[live]
+        while np.any(term > 1e-17 * total):
+            term *= (ns - k - 1) / (k + 2) * ds
+            total += term
             k += 1
         x[series] = total
     return x
@@ -191,39 +192,48 @@ def _next_energy(e, d, sigma2):
 def _level_energies(e0, d, sigma2, n_levels):
     # alpha_i^2 for i < n_levels along a new last axis, each level one
     # _next_energy step up, for broadcast arrays of (e0, d, sigma2)
-    e0, d, sigma2 = np.broadcast_arrays(e0, d, sigma2)
-    e = np.empty(e0.shape + (n_levels,))
+    e = np.empty(np.broadcast_shapes(np.shape(e0), np.shape(d), np.shape(sigma2)) + (n_levels,))
     e[..., 0] = e0
     for i in range(1, n_levels):
         e[..., i] = _next_energy(e[..., i - 1], d, sigma2)
     return e
 
 
+def _amplitudes(a0, d, sigma2, n_levels):
+    """Amplitudes of one split along a new last axis of n_levels.
+
+    The base level is a0 and each higher level is one _next_energy step up
+    at ratio 1 + d, for broadcast arrays of (a0, d, sigma2).  d = None
+    stands for the two-level split with a zero base, whose power constraint
+    leaves alpha_1^2 = 2 exactly: the closed form {0, sqrt 2}.  A chain
+    that goes negative raises under _strict.
+    """
+    if d is None and n_levels == 2:
+        return np.broadcast_to([0.0, math.sqrt(2.0)], np.shape(sigma2) + (2,))
+    return np.sqrt(_level_energies(a0 * a0, d, sigma2, n_levels))
+
+
 def _bisect(holds, lo, hi, *args):
     """Shrink brackets on d = r - 1 with holds(lo) true and holds(hi) false.
 
-    lo, hi and args are 1-D arrays of one length; holds(mid, *args) is
-    evaluated on the live elements only, with args taken at the same
-    elements.  Each element halves its bracket until hi - lo <= REL_TOL * hi,
-    or until no float lies strictly between its ends.  The rule is
-    scale-free, so it ends in about 40 halvings plus log2 of the bracket's
-    overshoot whatever the magnitude of d.  Returns (lo, hi, halvings).
+    lo, hi and args are 1-D arrays of one length, and holds(d, *args) is
+    evaluated elementwise.  Each element halves its bracket until
+    hi - lo <= REL_TOL * hi, or until no float lies strictly between its
+    ends.  The rule is scale-free, so it ends in about 40 halvings plus log2
+    of the bracket's overshoot whatever the magnitude of d.  Elements that
+    have stopped are evaluated at their lo, a point their bracket already
+    holds, and keep their bracket.  Returns (lo, hi, halvings).
     """
-    lo_live, hi_live, live = lo, hi, np.arange(lo.size)
-    lo, hi, halvings = np.empty(lo.shape), np.empty(hi.shape), np.zeros(lo.shape, dtype=int)
-    for k in range(MAX_HALVINGS):
-        mid = 0.5 * (lo_live + hi_live)
-        wide = (hi_live - lo_live > REL_TOL * hi_live) & (lo_live < mid) & (mid < hi_live)
-        if not wide.all():
-            done = live[~wide]
-            lo[done], hi[done], halvings[done] = lo_live[~wide], hi_live[~wide], k
-            live, lo_live, hi_live, mid = live[wide], lo_live[wide], hi_live[wide], mid[wide]
-            args = tuple(a[wide] for a in args)
-        if not live.size:
+    halvings = np.zeros(lo.shape, dtype=int)
+    for _ in range(MAX_HALVINGS):
+        mid = 0.5 * (lo + hi)
+        live = (hi - lo > REL_TOL * hi) & (lo < mid) & (mid < hi)
+        if not live.any():
             return lo, hi, halvings
-        up = holds(mid, *args)
-        lo_live = np.where(up, mid, lo_live)
-        hi_live = np.where(up, hi_live, mid)
+        halvings += live
+        up = holds(np.where(live, mid, lo), *args)
+        lo = np.where(live & up, mid, lo)
+        hi = np.where(live & ~up, mid, hi)
     raise ArithmeticError(f"bisection did not settle in {MAX_HALVINGS} halvings")
 
 
@@ -242,10 +252,10 @@ def _feasible_ratio_ceiling(n_levels, sigma2):
     each final bracket.  A doubling that overflows raises under _strict.
     """
     hi = np.ones(n_levels.shape)
-    live = np.flatnonzero(_feasible(hi, n_levels, sigma2))
-    while live.size:
-        hi[live] *= 2.0
-        live = live[_feasible(hi[live], n_levels[live], sigma2[live])]
+    feasible = _feasible(hi, n_levels, sigma2)
+    while feasible.any():
+        hi = np.where(feasible, 2.0 * hi, hi)
+        feasible = _feasible(hi, n_levels, sigma2)
     return _bisect(_feasible, np.zeros(hi.shape), hi, n_levels, sigma2)[0]
 
 
@@ -265,8 +275,8 @@ def _rising(d, n_levels, t_v, sigma2):
 def _solve_ratios(sigma2, n_levels, t_v):
     """d = r - 1 and bisection halvings for 1-D arrays of design problems.
 
-    Every element first gets its feasibility ceiling, all in one masked
-    pass.  Where t_v is finite, a second pass bisects (0, ceiling] for the
+    Every element first gets its feasibility ceiling, all in one pass.
+    Where t_v is finite, a second pass bisects (0, ceiling] for the
     balance of g and h.  Where t_v is +inf (one direction, no intra
     distance) the ceiling is the answer and the halvings are 0.
     """
@@ -354,21 +364,7 @@ def build_level_set(res, sigma2, l_alpha):
     sigma2, n = _check_split(sigma2, l_alpha)
     if not isinstance(res, BisectionResult):
         raise TypeError("res must be a BisectionResult")
-    radicand = _level_energies(res.alpha0 * res.alpha0, res.d, sigma2, n)
-    if np.any(radicand < 0.0):
-        raise ArithmeticError(
-            "negative squared amplitude; the bisection result does not "
-            "satisfy the power identity"
-        )
-    return LevelSet(np.sqrt(radicand), sigma2)
-
-
-def _energy_only_energies(d, sigma2, n_levels):
-    # levels of the single-direction design from its ratio ceiling d: a zero
-    # base level, which for two levels leaves alpha_1^2 = 2 exactly
-    if n_levels == 2:
-        return np.broadcast_to([0.0, 2.0], np.shape(sigma2) + (2,))
-    return _level_energies(0.0, d, sigma2, n_levels)
+    return LevelSet(_amplitudes(res.alpha0, res.d, sigma2, n), sigma2)
 
 
 @_strict
@@ -388,7 +384,7 @@ def energy_only_levels(sigma2, l_alpha):
     d = None
     if n > 2:
         d = _solve_ratios(np.array([sigma2]), np.array([float(n)]), np.array([math.inf]))[0][0]
-    return LevelSet(np.sqrt(_energy_only_energies(d, sigma2, n)), sigma2)
+    return LevelSet(_amplitudes(0.0, d, sigma2, n), sigma2)
 
 
 @_strict
@@ -449,20 +445,18 @@ def allocate_bits(l_s, sigma2, unitary_library):
         n = 2**l_alpha
         d_row = d[:, l_alpha - 1] if l_alpha in solved else None
         if l_alpha == 0:
-            a = np.ones((s2.size, 1))
-            r0.append([None] * s2.size)
-            alpha0.append([1.0] * s2.size)
+            a0, r = 1.0, [None] * s2.size
         elif l_alpha < l_s:
             a0 = np.sqrt(np.maximum(_base_amp_sq(d_row, np.full(s2.size, float(n)), s2), 0.0))
-            a = np.sqrt(_level_energies(a0 * a0, d_row, s2, n))
-            r0.append((1.0 + d_row).tolist())
-            alpha0.append(a0.tolist())
+            r = (1.0 + d_row).tolist()
         else:
-            a = np.sqrt(_energy_only_energies(d_row, s2, n))
-            r0.append(_chain_ratio(a, s2).tolist())
-            alpha0.append([0.0] * s2.size)
+            # the single-direction split reports the ratio of its built levels
+            a0, r = 0.0, None
+        a = _amplitudes(a0, d_row, s2, n)
         _check_level_rows(a, s2)
         amps.append(a)
+        r0.append(_chain_ratio(a, s2).tolist() if r is None else r)
+        alpha0.append(np.broadcast_to(a0, s2.shape).tolist())
         # The minimum over all point pairs sits inside the lowest level or
         # between consecutive levels, so only those terms are evaluated.
         e = a * a

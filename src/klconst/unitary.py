@@ -297,25 +297,19 @@ def load_unitary(path):
     return read_layout(path, "K N", lambda fields, amps, V: UnitarySet(V))
 
 
-def library_codebooks(K, l_vs, seed=0, restarts=None, iterations=DEFAULT_ITERATIONS):
+def library_codebooks(K, l_vs, seed=0):
     """The library's codebooks of 2^l_v directions in C^K, one per l_v.
 
     Returns {l_v: UnitarySet}; range(l_s + 1) gives every split of l_s
-    bits.  Each size is packed as :func:`optimize_unitary` would pack it
-    (l_v = 0 is its canonical single vector; restarts=None is the
-    PackingConfig default for K) with a per-size seed derived from the
-    given one (splitmix increment), so each size is reproducible on its
-    own, whichever other sizes are asked for.
+    bits.  Each size is packed as :func:`optimize_unitary` packs it with
+    the PackingConfig defaults (l_v = 0 is its canonical single vector) and
+    a per-size seed derived from the given one (splitmix increment), so
+    each size is reproducible on its own, whichever other sizes are asked
+    for.
     """
     l_vs = list(l_vs)
     cfgs = [
-        PackingConfig(
-            K=K,
-            cardinality=2**l_v,
-            restarts=restarts,
-            iterations=iterations,
-            seed=(seed + l_v * 0x9E3779B97F4A7C15) % 2**64,
-        )
+        PackingConfig(K=K, cardinality=2**l_v, seed=(seed + l_v * 0x9E3779B97F4A7C15) % 2**64)
         for l_v in l_vs
     ]
     return dict(zip(l_vs, _pack(cfgs)))

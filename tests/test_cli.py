@@ -297,7 +297,7 @@ class TestLazyLibrary:
         return calls
 
     def test_supplied_sizes_are_not_packed(self, tmp_path, pack_calls):
-        lib = library_codebooks(2, range(3), seed=0, restarts=2, iterations=50)
+        lib = library_codebooks(2, range(3), seed=0)
         books = {}
         for l_v in (1, 2):
             books[f"unitary_library_{l_v}"] = tmp_path / f"u{l_v}.txt"
@@ -346,7 +346,7 @@ class TestLazyLibrary:
             books = {f"unitary_library_{l_v}": tmp_path / f"u{l_v}.txt" for l_v in (1, 2)}
             books["unitary_library_1"].write_text("2 2\n1 0 0 0\n0 0 1 0\n")
             klconst.unitary.save_unitary(
-                library_codebooks(2, [2], restarts=1, iterations=20)[2],
+                library_codebooks(2, [2])[2],
                 books["unitary_library_2"],
             )
             cfg = write_config(tmp_path, K=2, l_s=2, snr_db_list="0", seed=5,
@@ -405,6 +405,38 @@ class TestSerSweepMode:
         assert reseeded != base
         assert reseeded.splitlines()[1].endswith(",77")
         assert (tmp_path / "ser.csv").read_text() == base
+
+    def test_snr_list_is_designed_in_one_call(self, tmp_path, monkeypatch):
+        calls = []
+        real = klconst.cli.allocate_bits
+
+        def counting(l_s, sigma2, unitary_library):
+            calls.append(len(sigma2))
+            return real(l_s, sigma2, unitary_library)
+
+        monkeypatch.setattr(klconst.cli, "allocate_bits", counting)
+        cfg = write_config(tmp_path, K=2, M=4, l_s=2, snr_db_list="0, 4, 8",
+                           trials=200, seed=3, output_path=tmp_path / "ser.csv")
+        assert main(["ser-sweep", "--config", str(cfg)]) == 0
+        assert calls == [3]
+
+    def test_failing_design_point_exits_before_any_trial(self, tmp_path, capsys,
+                                                         monkeypatch):
+        # at 1600 dB the level-energy sum overflows; the 0 dB point is never
+        # simulated and no CSV is written
+        calls = []
+
+        def no_trials(*args):
+            calls.append(args)
+            raise AssertionError("estimate_ser ran before the design failed")
+
+        monkeypatch.setattr(klconst.cli, "estimate_ser", no_trials)
+        out = tmp_path / "ser.csv"
+        cfg = write_config(tmp_path, K=2, M=4, l_s=2, snr_db_list="0, 1600",
+                           trials=200, seed=3, output_path=out)
+        assert main(["ser-sweep", "--config", str(cfg)]) == 3
+        assert "numeric failure" in capsys.readouterr().err
+        assert calls == [] and not out.exists()
 
     def test_odd_split_with_pilot_is_a_config_error(self, tmp_path, capsys):
         cfg = write_config(

@@ -128,6 +128,46 @@ class TestSolveBisection:
             solve_bisection(*args)
 
 
+def scalar_bisect(holds, lo, hi):
+    """The one-bracket bisection loop that the array kernel replaced, kept
+    as its reference."""
+    for halvings in range(multilevel.MAX_HALVINGS):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= multilevel.REL_TOL * hi or not lo < mid < hi:
+            return lo, hi, halvings
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+    raise ArithmeticError(f"bisection did not settle in {multilevel.MAX_HALVINGS} halvings")
+
+
+class TestBisectKernel:
+    def test_matches_the_scalar_loop(self, rng):
+        # monotone problems d < root over 600 orders of magnitude, brackets
+        # from 0 or just below the root, overshoots up to 2^60, plus brackets
+        # that are already narrow enough or hold no float inside at step 0
+        n = 400
+        root = 10.0 ** rng.uniform(-300.0, 300.0, n)
+        hi = root * 2.0 ** rng.uniform(0.0, 60.0, n)
+        lo = np.where(rng.random(n) < 0.5, 0.0, root * 2.0 ** -rng.uniform(0.0, 60.0, n))
+        lo[:20] = hi[:20] * (1.0 - 1e-13)
+        lo[20:40] = np.nextafter(hi[20:40], 0.0)
+        root[:40] = 0.5 * (lo[:40] + hi[:40])
+
+        got_lo, got_hi, got_halvings = multilevel._bisect(lambda d, r: d < r, lo, hi, root)
+        want = [
+            scalar_bisect(lambda d, r=r: d < r, a, b)
+            for a, b, r in zip(lo.tolist(), hi.tolist(), root.tolist())
+        ]
+        want_lo, want_hi, want_halvings = (np.array(col) for col in zip(*want))
+        assert got_lo.tobytes() == want_lo.tobytes()
+        assert got_hi.tobytes() == want_hi.tobytes()
+        assert got_halvings.tolist() == want_halvings.tolist()
+        assert not got_halvings[:40].any()
+        assert len(set(got_halvings.tolist())) > 20
+
+
 class TestExcess:
     @pytest.mark.parametrize("n", [2, 4, 64, 256])
     def test_matches_exact_rational_sum(self, n):
@@ -156,6 +196,14 @@ class TestBuildLevelSet:
         shifted = 0.05 + ls.amplitudes**2
         ratios = shifted[1:] / shifted[:-1]
         np.testing.assert_allclose(ratios, res.r0, rtol=1e-9)
+
+    def test_chain_that_goes_negative_raises(self):
+        # a ratio below 1 steps alpha_1^2 = 0.25 - 2 (0.1 + 0.25) below 0
+        res = multilevel.BisectionResult(
+            d=-2.0, alpha0=0.5, iterations=0, residual_equality=0.0, residual_power=0.0
+        )
+        with pytest.raises(ArithmeticError):
+            build_level_set(res, 0.1, 1)
 
     def test_requires_a_result_for_multi_level(self):
         with pytest.raises(TypeError):

@@ -144,7 +144,9 @@ class TestBlochPacking:
             raise AssertionError("climbed a closed form")
 
         monkeypatch.setattr(klconst.unitary, "_climb", no_climb)
-        library_codebooks(2, range(4), seed=5, restarts=3)
+        library_codebooks(2, range(4), seed=5)
+        for N in (2, 4, 8):
+            optimize_unitary(PackingConfig(K=2, cardinality=N, restarts=3, seed=5))
 
     def test_restarts_turn_one_layout(self):
         # every restart has the same |Gram| matrix; the seed picks the turn
