@@ -439,7 +439,7 @@ def run(cfg):
     """Execute a parsed config; returns the process exit code.
 
     Config problems found while running raise ConfigError; any other
-    ValueError or ArithmeticError is a numeric failure.
+    ValueError or ArithmeticError, and a MemoryError, is a numeric failure.
     """
     return _RUNNERS[cfg.mode](cfg)
 
@@ -458,7 +458,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"klconst: config error: {exc}", file=sys.stderr)
         return 2
-    except (ArithmeticError, ValueError) as exc:
+    except (ArithmeticError, ValueError, MemoryError) as exc:
         print(f"klconst: numeric failure: {exc}", file=sys.stderr)
         return 3
 

@@ -48,6 +48,9 @@ across slots.  The receiver estimates the channel from the pilot alone,
 combines each data slot with the estimate (maximum-ratio), and slices
 per symbol; a block counts as one error if any data symbol errs, which
 puts it on the same per-block footing as the constellation detectors.
+Square QAM is a product of two PAM axes, so the slicer decides the real
+and the imaginary level of each symbol apart, with np.searchsorted on the
+thresholds between adjacent levels, in place of a distance to every point.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ChannelParams, MultiLevelConstellation, SignalPoint
-from .detection import _two_stage_gram, gram
+from .detection import _score_weights, _two_stage_gram, gram
 
 __all__ = [
     "SerEstimate",
@@ -336,9 +339,10 @@ def estimate_ser(c, params, trials, seed):
         raise ValueError(
             f"constellation block length {c.K} does not match params.K = {params.K}"
         )
+    F = _score_weights(c.directions)
     return _block_errors(
         params, trials, seed, c.size, 1, lambda sent: c.point_vectors()[sent[:, 0]],
-        lambda G: _two_stage_gram(G, c, params.sigma2, params.M)[:, None],
+        lambda G: _two_stage_gram(G, c, params.sigma2, params.M, F)[:, None],
     )
 
 
@@ -427,16 +431,46 @@ def square_qam_alphabet(bits):
     return a / math.sqrt(float(np.mean(np.abs(a) ** 2)))
 
 
+def _qam_slicer(points):
+    """Slicer for a scaled square_qam_alphabet: maps z, of any shape, to
+    the index of the nearest point, ties to the smaller index.
+
+    Each axis is decided apart (see the module docstring); the index
+    i_re * (number of imaginary levels) + i_im is the alphabet's ravel
+    order, bits = 1 included.  Each threshold is the largest float at or
+    below the exact midpoint of its two levels, so side="left" decides as
+    an exact argmin of |z - p|^2 would, ties included.
+    """
+    re_levels, im_levels = np.unique(points.real), np.unique(points.imag)
+
+    def thresholds(levels):
+        a, b = levels[:-1], levels[1:]
+        s = a + b
+        b_rounded = s - a
+        err = (a - (s - b_rounded)) + (b - b_rounded)  # a + b == s + err exactly
+        mid = s / 2
+        return np.where(err < 0, np.nextafter(mid, -np.inf), mid)
+
+    re_cut, im_cut = thresholds(re_levels), thresholds(im_levels)
+
+    def slice_(z):
+        i_re = np.searchsorted(re_cut, z.real, side="left")
+        return i_re * im_levels.size + np.searchsorted(im_cut, z.imag, side="left")
+
+    return slice_
+
+
 def pilot_qam_run(scheme, params, trials, seed):
     """Block error rate of the pilot-based QAM baseline.
 
     Per trial: slot 0 carries the pilot, the receiver forms h_hat =
     y_0 / pilot_amplitude, combines each data slot as
     z_j = h_hat^H y_j / ||h_hat||^2, and slices z_j to the nearest scaled
-    alphabet point; any wrong symbol makes the block an error.  The
-    combiner equals z_j = pilot_amplitude G[0, j] / G[0, 0], so each trial
-    draws its data symbol indices and then the Gram matrix G of its block
-    from the complex Wishart law, in the order the module docstring gives.
+    alphabet point, per axis (_qam_slicer); any wrong symbol makes the
+    block an error.  The combiner equals z_j = pilot_amplitude G[0, j] /
+    G[0, 0], so each trial draws its data symbol indices and then the Gram
+    matrix G of its block from the complex Wishart law, in the order the
+    module docstring gives.
     """
     if not isinstance(scheme, PilotQamScheme):
         raise TypeError("scheme must be a PilotQamScheme")
@@ -446,12 +480,9 @@ def pilot_qam_run(scheme, params, trials, seed):
         )
     pilot = scheme.pilot_amplitude
     points = scheme.data_scale * scheme.qam_alphabet
-
-    def decide(G):
-        z = pilot * G[:, 0, 1:] / G[:, 0, :1].real
-        return np.argmin(np.abs(z[:, :, None] - points[None, None, :]) ** 2, axis=-1)
-
+    slice_ = _qam_slicer(points)
     return _block_errors(
         params, trials, seed, points.size, scheme.K - 1,
-        lambda sent: np.insert(points[sent], 0, pilot, axis=1), decide,
+        lambda sent: np.insert(points[sent], 0, pilot, axis=1),
+        lambda G: slice_(pilot * G[:, 0, 1:] / G[:, 0, :1].real),
     )

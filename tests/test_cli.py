@@ -578,6 +578,23 @@ class TestExitCodes:
         assert main(["design", "--config", str(cfg)]) == 3
         assert "numeric failure" in capsys.readouterr().err
 
+    def test_memory_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        # numpy's _ArrayMemoryError is a MemoryError; raised here without
+        # allocating anything
+        import klconst.cli as cli_mod
+
+        def out_of_memory(cfg):
+            raise MemoryError("Unable to allocate 768. MiB for an array")
+
+        monkeypatch.setitem(cli_mod._RUNNERS, "pack-unitary", out_of_memory)
+        cfg = write_config(
+            tmp_path, K=3, l_s=2, seed=1, output_path=tmp_path / "u.txt",
+        )
+        assert main(["pack-unitary", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("klconst: numeric failure: Unable to allocate")
+        assert err.count("\n") == 1
+
 
 class TestBenchmarkHooks:
     def test_traced_names_exist(self):

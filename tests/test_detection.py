@@ -18,6 +18,7 @@ from klconst import (
     gram,
     simulate_block,
 )
+from klconst.detection import _direction_scores, _score_weights
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +65,24 @@ class TestGram:
     def test_batched_shape(self, rng):
         Y = rng.standard_normal((7, 2, 6, 3)) + 0j
         assert gram(Y).shape == (7, 2, 3, 3)
+
+
+class TestDirectionScores:
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
+    def test_real_product_equals_the_quadratic_form(self, K, rng):
+        V = rng.standard_normal((8, K)) + 1j * rng.standard_normal((8, K))
+        V /= np.linalg.norm(V, axis=1, keepdims=True)
+        A = rng.standard_normal((3, 5, K, K)) + 1j * rng.standard_normal((3, 5, K, K))
+        G = A + A.conj().swapaxes(-1, -2)
+        q = _direction_scores(G, _score_weights(UnitarySet(V)))
+        # the expression the scores replaced, kept as the reference
+        reference = np.einsum("jk,...kl,jl->...j", V, G, V.conj()).real
+        # each side sums K^2 products of a few roundings each, so each is
+        # within (K^2 + 4) eps of the sum of the terms' magnitudes
+        magnitude = np.einsum("jk,...kl,jl->...j", np.abs(V), np.abs(G), np.abs(V))
+        tol = 2 * (K**2 + 4) * np.finfo(np.float64).eps * magnitude
+        assert q.shape == (3, 5, 8)
+        assert np.all(np.abs(q - reference) <= tol)
 
 
 class TestDetection:

@@ -1,6 +1,7 @@
 """Channel simulator, SER and KL estimators, pilot-QAM baseline."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from klconst import (
 )
 from klconst.core import _kl_energy
 from klconst.detection import gram
-from klconst.linksim import _gram_root, _stream, _substreams
+from klconst.linksim import _gram_root, _qam_slicer, _stream, _substreams
 
 # frozen with 40-digit arithmetic for z = 1.959963984540054
 WILSON_0_100_HIGH = 0.036993498206985676
@@ -315,3 +316,57 @@ class TestPilotQam:
             assert a == b
             sers.append(a.ser)
         assert sers[0] > sers[1]
+
+
+def argmin_slice(z, points):
+    # the brute-force slicer the per-axis one replaced, kept as the reference
+    # off ties: nearest point by |z - p|^2, ties to the smaller index
+    return np.argmin(np.abs(z[..., None] - points) ** 2, axis=-1)
+
+
+def exact_slice(z, points):
+    # the same rule in rational arithmetic, which a tie needs: at a midpoint
+    # the rounding of abs() can favour either neighbour
+    pts = [(Fraction(p.real), Fraction(p.imag)) for p in points]
+    out = []
+    for w in z:
+        zr, zi = Fraction(w.real), Fraction(w.imag)
+        d = [(zr - pr) ** 2 + (zi - pi) ** 2 for pr, pi in pts]
+        out.append(d.index(min(d)))
+    return np.array(out)
+
+
+class TestQamSlicer:
+    @pytest.mark.parametrize("bits", [1, 2, 4, 6])
+    @pytest.mark.parametrize("scale", [1.0, PilotQamScheme(2, 2).data_scale])
+    def test_per_axis_equals_brute_force(self, bits, scale, rng):
+        points = scale * square_qam_alphabet(bits)
+        slice_ = _qam_slicer(points)
+        # random, some far outside the grid
+        z = np.concatenate([
+            rng.standard_normal(400) + 1j * rng.standard_normal(400),
+            8.0 * (rng.standard_normal(100) + 1j * rng.standard_normal(100)),
+        ])
+        np.testing.assert_array_equal(slice_(z), argmin_slice(z, points))
+        # exactly on the alphabet, and exactly on a midpoint between adjacent
+        # levels of one axis, on or off the other axis
+        re, im = np.unique(points.real), np.unique(points.imag)
+        mid_re, mid_im = (re[:-1] + re[1:]) / 2, (im[:-1] + im[1:]) / 2
+        offsets = rng.standard_normal(4)
+        z = np.concatenate([
+            points,
+            (mid_re[:, None] + 1j * np.concatenate([im, offsets])).ravel(),
+            (np.concatenate([re, offsets])[:, None] + 1j * mid_im).ravel(),
+            (mid_re[:, None] + 1j * mid_im).ravel(),
+        ])
+        np.testing.assert_array_equal(slice_(z), exact_slice(z, points))
+
+    # error counts of 20 000 trials, derived with the brute-force slicer
+    @pytest.mark.parametrize(
+        "K, total_bits, M, snr_db, seed, errors",
+        [(2, 6, 16, 10.0, 6, 4488), (3, 8, 4, 6.0, 7, 11611), (2, 1, 4, -2.0, 8, 2604)],
+    )
+    def test_pinned_error_counts(self, K, total_bits, M, snr_db, seed, errors):
+        params = ChannelParams.from_snr_db(M=M, K=K, snr_db=snr_db)
+        est = pilot_qam_run(PilotQamScheme(K, total_bits), params, 20000, seed)
+        assert est.errors == errors
