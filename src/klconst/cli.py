@@ -181,6 +181,10 @@ def _as_schemes(raw, key):
 
 _COUNT = partial(_as_int, low=1)
 
+# Largest l_s: packing's per-step (N, N) arrays then hold at most 2^20
+# entries a restart (16 MB as complex).  K has no upper bound yet.
+_L_S_MAX = 10
+
 # Every field: its parser, the modes that read it, and whether those modes
 # require it (optional ones keep their ExperimentConfig default).  A mode
 # rejects a field it does not read; `mode` itself is accepted everywhere.
@@ -189,7 +193,9 @@ _COUNT = partial(_as_int, low=1)
 _FIELDS = {
     "K": (_COUNT, MODES, True),
     "M": (_COUNT, ("ser-sweep", "kl-check"), True),
-    "l_s": (_COUNT, ("design", "ser-sweep", "pack-unitary"), True),
+    "l_s": (
+        partial(_as_int, low=1, high=_L_S_MAX + 1), ("design", "ser-sweep", "pack-unitary"), True
+    ),
     "snr_db_list": (_as_float_list, ("design", "ser-sweep", "kl-check"), True),
     "trials": (_COUNT, ("ser-sweep", "kl-check"), True),
     "seed": (partial(_as_int, low=0, high=2**64), MODES, True),

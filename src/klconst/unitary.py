@@ -23,7 +23,12 @@ Math. Geosci. 2010), climbed.  Restart r at K = 2 turns that layout by a
 Haar-random SU(2) rotation drawn from the seed's stream r; a rotation keeps
 every distance, so all restarts score the same up to rounding, K = 2
 defaults to one restart, and the seed only picks the orientation of the
-codebook (still one codebook per seed).
+codebook (still one codebook per seed).  The climb commutes with that turn
+(C = V V^H, the weights and the step all do), so at one restart and the
+default iterations N = 16, 32 and 64 turn the lattice already climbed,
+tabulated in _bloch_climbed, and skip the climb; they match a climb of the
+turned lattice to about 1e-14.  Larger N, other iterations and several
+restarts climb.
 
 The restarts of one packing climb together as (R, N, K) stacks, one numpy
 call per step for all of them, and each stack bounds its per-step (R, N, N)
@@ -83,6 +88,9 @@ DEFAULT_ITERATIONS = 1500
 
 # K = 2 sizes whose Bloch-sphere layout is returned without a climb
 _BLOCH_CLOSED_FORMS = (2, 4, 8)
+# K = 2 sizes whose lattice, climbed at DEFAULT_ITERATIONS, is tabulated
+# in _bloch_climbed
+_BLOCH_CLIMBED = (16, 32, 64)
 
 
 @dataclass(frozen=True)
@@ -146,7 +154,7 @@ def fejes_toth_limit(N):
     return 1.0 - 0.25 / math.sin(math.pi * N / (6 * (N - 2))) ** 2
 
 
-def _bloch_layout(n):
+def _bloch_layout(n, climbed=False):
     """The K = 2 start of n lines, laid out on the Bloch sphere.
 
     Returns (n, 2) unit vectors (cos(theta/2), e^{i phi} sin(theta/2)) for
@@ -154,8 +162,14 @@ def _bloch_layout(n):
     pair, the tetrahedron and the square antiprism (edges all equal, at
     heights +-h with h^2 = sqrt2 / (4 + sqrt2)) for n = 2, 4 and 8, and the
     spherical Fibonacci lattice, n heights evenly spaced in z and azimuths a
-    golden angle apart, for any other n.
+    golden angle apart, for any other n.  With climbed, an n of
+    _BLOCH_CLIMBED gives its lattice climbed at DEFAULT_ITERATIONS instead,
+    read from the table (imported on first use).
     """
+    if climbed and n in _BLOCH_CLIMBED:
+        from ._bloch_climbed import LAYOUTS
+
+        return np.array(LAYOUTS[n]).view(complex).reshape(n, 2)
     if n == 2:
         z, phi = np.array([1.0, -1.0]), np.zeros(2)
     elif n == 4:
@@ -184,19 +198,33 @@ def _haar_su2(rng):
 def _starts(cfg):
     """The (restarts, N, K) starts of a config, restart r from stream (seed, r).
 
-    At K = 2 restart r is the Bloch layout turned by a Haar SU(2) rotation;
-    otherwise it draws complex normals.  Rows are unit norm.
+    At K = 2 restart r is the Bloch layout turned by a Haar SU(2) rotation,
+    the climbed layout where _climbs(cfg) is false; otherwise it draws
+    complex normals.  Rows are unit norm.
     """
     n, K = cfg.cardinality, cfg.K
     streams = [_stream(cfg.seed, r) for r in range(cfg.restarts)]
     if K == 2:
-        layout = _bloch_layout(n)
+        layout = _bloch_layout(n, climbed=not _climbs(cfg))
         starts = np.stack([layout @ _haar_su2(rng).T for rng in streams])
     else:
         starts = np.stack(
             [rng.standard_normal((n, K)) + 1j * rng.standard_normal((n, K)) for rng in streams]
         )
     return starts / np.linalg.norm(starts, axis=2, keepdims=True)
+
+
+def _climbs(cfg):
+    """Whether the starts of cfg are climbed: all but, at K = 2, the closed
+    forms and the sizes of _BLOCH_CLIMBED at one restart and the default
+    iterations.  Several restarts climb even there: their turns score alike
+    up to rounding, which picks the winner, and a turned table could pick
+    another one than the climb, so such configs keep the climb's codebook."""
+    n = cfg.cardinality
+    return not (cfg.K == 2 and (
+        n in _BLOCH_CLOSED_FORMS
+        or (n in _BLOCH_CLIMBED and cfg.restarts == 1 and cfg.iterations == DEFAULT_ITERATIONS)
+    ))
 
 
 def _climb(V, iterations):
@@ -241,12 +269,14 @@ def _pack(cfgs):
     """Best packing of each config, climbing every restart stack of the run.
 
     Restart r of a config starts from _starts, keyed (cfg.seed, r).  The
-    K = 2 closed forms (N = 2, 4, 8) are scored as they are, and N = 1 is
-    the canonical single vector; every other config's starts are cut into
-    stacks of at most max(1, _CHUNK_ENTRIES // N^2) restarts and climbed
-    in config order.  Each config's results are scored in restart order,
-    and equal exact scores keep the earliest restart's set, so the returned
-    UnitarySets do not depend on the stacking.
+    K = 2 starts that _climbs rules out (the closed forms, and the
+    tabulated climbs at one restart and the default iterations) are scored
+    as they are, and N = 1 is the canonical single vector; every other
+    config's starts are cut into stacks of at most
+    max(1, _CHUNK_ENTRIES // N^2) restarts and climbed in config order.
+    Each config's results are scored in restart order, and equal exact
+    scores keep the earliest restart's set, so the returned UnitarySets do
+    not depend on the stacking.
     """
     books = []
     for cfg in cfgs:
@@ -254,7 +284,7 @@ def _pack(cfgs):
         best_v, best_t = canonical_direction(cfg.K)[None, :], -1.0
         if n > 1:
             sets = _starts(cfg)
-            if not (cfg.K == 2 and n in _BLOCH_CLOSED_FORMS):
+            if _climbs(cfg):
                 chunk = max(1, _CHUNK_ENTRIES // n**2)
                 sets = np.concatenate([
                     _climb(sets[lo:lo + chunk], cfg.iterations)
@@ -272,10 +302,12 @@ def optimize_unitary(cfg):
     """Best packing over cfg.restarts independent soft-min climbs.
 
     At K = 2 the restarts are turns of one Bloch-sphere layout, and the
-    N = 2, 4, 8 layouts are not climbed (see the module docstring).  The
-    restarts are climbed in stacks as described at :func:`_pack`; equal
-    exact scores keep the earliest restart's set.  The returned UnitarySet
-    carries the exact recomputed distance.
+    N = 2, 4, 8 layouts are not climbed, nor, at one restart and the
+    default iterations, N = 16, 32, 64, which turn a tabulated climb (see
+    the module docstring).  The restarts are climbed in stacks as
+    described at :func:`_pack`; equal exact scores keep the earliest
+    restart's set.  The returned UnitarySet carries the exact recomputed
+    distance.
     """
     if not isinstance(cfg, PackingConfig):
         raise TypeError("cfg must be a PackingConfig")

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +166,19 @@ class TestFieldsPerMode:
             cfg = write_config(tmp_path, output_path="x", **fields)
             with pytest.raises(ConfigError, match=f"missing required field '{key}'"):
                 parse_config(cfg, mode)
+
+    @pytest.mark.parametrize("mode", ["design", "ser-sweep", "pack-unitary"])
+    def test_l_s_is_bounded(self, tmp_path, capsys, mode):
+        # at l_s = 10 packing's per-step (N, N) array holds 2^20 entries
+        fields = dict(BASE_FIELDS[mode], output_path=tmp_path / "out.txt")
+        cfg = write_config(tmp_path, **dict(fields, l_s=10))
+        assert parse_config(cfg, mode).l_s == 10
+        cfg = write_config(tmp_path, **dict(fields, l_s=11))
+        start = time.monotonic()
+        assert main([mode, "--config", str(cfg)]) == 2
+        assert time.monotonic() - start < 1.0
+        assert "field 'l_s' must be < 11" in capsys.readouterr().err
+        assert not (tmp_path / "out.txt").exists()
 
     def test_mode_disagreement_is_reported_before_unread_fields(self, tmp_path):
         cfg = write_config(tmp_path, mode="kl-check", output_path="x",
