@@ -182,8 +182,12 @@ def _as_schemes(raw, key):
 _COUNT = partial(_as_int, low=1)
 
 # Largest l_s: packing's per-step (N, N) arrays then hold at most 2^20
-# entries a restart (16 MB as complex).  K has no upper bound yet.
+# entries a restart (16 MiB as complex).
 _L_S_MAX = 10
+
+# Largest K: the SER path's per-substream (2048, K, K) complex arrays then
+# hold at most 2^20 entries each, the same 16 MiB (2048 K^2 <= 2^20).
+_K_MAX = 22
 
 # Every field: its parser, the modes that read it, and whether those modes
 # require it (optional ones keep their ExperimentConfig default).  A mode
@@ -191,7 +195,7 @@ _L_S_MAX = 10
 # The _LIBRARY_KEY entry stands for every unitary_library_<l_v> key, whose
 # l_v and path parse_config reads itself.
 _FIELDS = {
-    "K": (_COUNT, MODES, True),
+    "K": (partial(_as_int, low=1, high=_K_MAX + 1), MODES, True),
     "M": (_COUNT, ("ser-sweep", "kl-check"), True),
     "l_s": (
         partial(_as_int, low=1, high=_L_S_MAX + 1), ("design", "ser-sweep", "pack-unitary"), True

@@ -3,9 +3,9 @@
 Every estimator here sees a received block only through its K x K Gram
 matrix G = Y^H Y.  Given the sent point s, the M rows of Y are i.i.d.
 CN(0, s s^H + sigma2 I), so G is complex Wishart with M degrees of freedom
-and E[G] = M (s^* s^T + sigma2 I) (Goodman 1963).  The estimators draw G
-straight from that law by the Bartlett decomposition, at O(K^2) cost per
-trial whatever M is, and never form Y:
+and E[G] = M (s^* s^T + sigma2 I) (Goodman 1963).  The SER estimators
+draw G straight from that law by the Bartlett decomposition, at O(K^2)
+cost per trial whatever M is, and never form Y:
 
     R    r x K upper-trapezoidal, r = min(M, K), |R_ii|^2 ~ Gamma(M - i, 1),
          CN(0, 1) entries above the diagonal, zeros below,
@@ -18,25 +18,28 @@ special case and gives B^T = sigma I), and
 R^H R has the law of Z^H Z for an M x K matrix Z of i.i.d. CN(0, 1)
 entries, so A^H A has the law of G.  The SER estimators form G from A.
 The KL estimator needs only the quadratic forms q(x) = x^T G x^* =
-||R B^T x^*||^2 of two fixed points, so it applies B^T to x^* in closed
-form, sigma x^* + c (s^T x^*) s^*, and runs the Bartlett draws over the two
-resulting K-vectors row by row; it never forms R, A or G.  simulate_block
-still draws a whole block Y for demos and tests.
+w^H R^H R w, w = B^T x^*, of two fixed points, and its log-ratio is
+linear in R^H R through a Hermitian matrix of rank at most 2; by the
+unitary invariance of R^H R a sample is its two nonzero eigenvalues
+weighting two i.i.d. Gamma(M, 1) draws (see kl_mc_estimate), so it draws
+no Bartlett factor and forms no R, A or G.  simulate_block still draws a
+whole block Y for demos and tests.
 
 All estimators draw from counter-based Philox substreams keyed by
 (seed, substream index), with trials partitioned into fixed substreams of
 2048, so a given seed produces the same counts.  Within a substream the
-draw order is: the message indices of every trial
-(none for the KL estimator); then the gamma diagonal entries, trial by
-trial and i = 0..r-1 within a trial; then the real parts of the entries
-above the diagonal, trial by trial and row by row within a trial, and
-their imaginary parts in the same order.  The Bartlett part of that order
-is written once, in _bartlett_draws, which the SER path and the KL kernel
-both call.  Schemes run on one seed share the message indices and base
-Bartlett draws of each substream (common random numbers), as far as their
-message sets have the same size and they send the same number of indices
-per trial; every message set here has a power-of-two size, for which the
-index draw uses a fixed share of the stream.
+SER path's draw order is: the message indices of every trial; then the
+gamma diagonal entries, trial by trial and i = 0..r-1 within a trial; then
+the real parts of the entries above the diagonal, trial by trial and row
+by row within a trial, and their imaginary parts in the same order.  The
+Bartlett part of that order is written once, in _bartlett_draws, which
+only the SER path calls.  The KL estimator draws n x 2 gammas of shape M
+per substream of n samples, trial by trial.  Schemes run on one seed
+share the message indices and base Bartlett draws of each substream
+(common random numbers), as far as their message sets have the same size
+and they send the same number of indices per trial; every message set
+here has a power-of-two size, for which the index draw uses a fixed
+share of the stream.
 
 Error counts get Wilson 95% intervals rather than the normal
 approximation, which stays honest when only a handful of block errors
@@ -243,27 +246,6 @@ def _bartlett(rng, n, M, K):
     return R
 
 
-def _bartlett_sq_norms(rng, ws, n, M):
-    """||R w||^2 for each fixed K-vector w in ws, as length-n arrays over
-    n Bartlett factors R drawn by _bartlett_draws, without forming R.
-
-    Row rho of R w is sqrt(gamma_rho) w_rho plus z w_col over the entries z
-    above the diagonal in that row.
-    """
-    roots, upper, rows, cols = _bartlett_draws(rng, n, M, ws[0].size)
-    roots, upper = roots.T, upper.T
-    norms = []
-    for w in ws:
-        q = 0.0
-        for rho in range(roots.shape[0]):
-            t = roots[rho] * w[rho]
-            for j in np.flatnonzero(rows == rho):
-                t = t + upper[j] * w[cols[j]]
-            q = q + (t.real**2 + t.imag**2)
-        norms.append(q)
-    return norms
-
-
 def _gram_root(rng, S, n, M, sigma2):
     """n factors A with A^H A distributed as the Gram matrix of a received
     block, for sent blocks S of shape (n, K), or (K,) for one point in all.
@@ -346,6 +328,33 @@ def estimate_ser(c, params, trials, seed):
     )
 
 
+def _log_ratio_law(x_i, x_k, sigma2):
+    """([lambda_+, lambda_-], ln((sigma2 + E_i)/(sigma2 + E_k))) for the KL
+    log-ratio of points x_i, x_k: the nonzero eigenvalues of H and the
+    log-determinant term of kl_mc_estimate's docstring.
+    """
+    e_i = float(np.real(np.vdot(x_i, x_i)))
+    e_k = float(np.real(np.vdot(x_k, x_k)))
+    c_i = 1.0 / (sigma2 * (sigma2 + e_i))
+    c_k = 1.0 / (sigma2 * (sigma2 + e_k))
+    log_det_ratio = math.log(sigma2 + e_i) - math.log(sigma2 + e_k)
+    # B^T x^* with B^T = sigma I + c x_i^* x_i^T, and each point's terms of
+    # H, one expression for both points, so that identical points give
+    # bitwise-identical terms and exactly zero eigenvalues
+    sigma = math.sqrt(sigma2)
+    c = 1.0 / (math.sqrt(sigma2 + e_i) + sigma)
+    w_i, w_k = (
+        sigma * x.conj() + c * (x_i @ x.conj()) * x_i.conj() for x in (x_i, x_k)
+    )
+    cross = np.vdot(w_i, w_k)
+    n_i, n_k = (float(np.real(np.vdot(w, w))) for w in (w_i, w_k))
+    t = c_i * n_i - c_k * n_k
+    # the bracket is >= 0 by Cauchy-Schwarz; rounding may put it just below
+    d = -c_i * c_k * max(n_i * n_k - (cross.real**2 + cross.imag**2), 0.0)
+    root = math.sqrt(t * t - 4.0 * d)
+    return np.array([t + root, t - root]) / 2.0, log_det_ratio
+
+
 def kl_mc_estimate(s_i, s_k, params, samples, seed):
     """Monte-Carlo estimate of the per-antenna KL distance D(s_i || s_k).
 
@@ -355,11 +364,23 @@ def kl_mc_estimate(s_i, s_k, params, samples, seed):
         q(s) = s^T G s^* = ||A s^*||^2,    ln f = q/(sigma2 (sigma2+E)) - M ln(sigma2+E)
 
     (plus point-independent terms that cancel), so no density is ever
-    exponentiated.  Each q is ||R w||^2 with w = B^T x^* computed in closed
-    form, and R's Bartlett draws (the gamma diagonal first, then the
-    off-diagonal normals; see the module docstring) are applied to w_i and
-    w_k row by row, so neither Y nor A = R B^T is ever formed.  The
-    expectation of the average is kl_full(s_i, s_k).
+    exponentiated.  With w = B^T x^* computed in closed form, q = w^H W w
+    for W = R^H R ~ W_K(M, I), so a sample is tr(W H)/M - ln((sigma2 +
+    E_i)/(sigma2 + E_k)) with H = c_i w_i w_i^H - c_k w_k w_k^H.  H has rank
+    at most 2, with eigenvalues lambda_+ >= 0 >= lambda_- from its trace t
+    and the determinant d of its 2 x 2 restriction,
+
+        lambda_+- = (t +- sqrt(t^2 - 4 d)) / 2,
+        t = c_i |w_i|^2 - c_k |w_k|^2,
+        d = -c_i c_k (|w_i|^2 |w_k|^2 - |w_i^H w_k|^2),
+
+    and W is unitarily invariant, so tr(W H) has the law of lambda_+ g_1 +
+    lambda_- g_2 for i.i.d. g_1, g_2 ~ Gamma(M, 1), the squared norms of
+    two independent columns of the M x K Gaussian factor of W.  Each
+    sample therefore draws two gammas of shape M whatever K and M are (see
+    the module docstring for the draw order); no Y, R, A or G is formed.
+    The expectation of the average is kl_full(s_i, s_k), and each sample
+    has variance (lambda_+^2 + lambda_-^2)/M.
 
     Returns
     -------
@@ -373,28 +394,15 @@ def kl_mc_estimate(s_i, s_k, params, samples, seed):
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples!r}")
     seed = _check_seed(seed)
-    sigma2 = params.sigma2
-    x_i = s_i.vector()
-    x_k = s_k.vector()
-    e_i = float(np.real(np.vdot(x_i, x_i)))
-    e_k = float(np.real(np.vdot(x_k, x_k)))
-    c_i = 1.0 / (sigma2 * (sigma2 + e_i))
-    c_k = 1.0 / (sigma2 * (sigma2 + e_k))
-    log_det_ratio = math.log(sigma2 + e_i) - math.log(sigma2 + e_k)
-    # B^T x^* with B^T = sigma I + c x_i^* x_i^T, one expression for both
-    # points, so that identical points give bitwise-identical vectors
-    sigma = math.sqrt(sigma2)
-    c = 1.0 / (math.sqrt(sigma2 + e_i) + sigma)
-    w_i, w_k = (
-        sigma * x.conj() + c * (x_i @ x.conj()) * x_i.conj() for x in (x_i, x_k)
-    )
+    lam, log_det_ratio = _log_ratio_law(s_i.vector(), s_k.vector(), params.sigma2)
+    lam /= params.M
     total = 0.0
     total_sq = 0.0
     for b, n in _substreams(samples):
-        q_i, q_k = _bartlett_sq_norms(_stream(seed, b), (w_i, w_k), n, params.M)
-        ratio = (q_i * c_i - q_k * c_k) / params.M - log_det_ratio
-        total += float(np.sum(ratio))
-        total_sq += float(np.sum(ratio * ratio))
+        ratio = _stream(seed, b).standard_gamma(params.M, size=(n, 2)) @ lam
+        ratio -= log_det_ratio
+        total += float(ratio.sum())
+        total_sq += float(ratio @ ratio)
     mean = total / samples
     if samples > 1:
         var = max(total_sq - samples * mean * mean, 0.0) / (samples - 1)

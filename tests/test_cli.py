@@ -180,6 +180,20 @@ class TestFieldsPerMode:
         assert "field 'l_s' must be < 11" in capsys.readouterr().err
         assert not (tmp_path / "out.txt").exists()
 
+    @pytest.mark.parametrize("mode", list(BASE_FIELDS))
+    def test_k_is_bounded(self, tmp_path, capsys, mode):
+        # at K = 22 the SER path's per-substream (2048, K, K) arrays hold at
+        # most 2^20 entries
+        fields = dict(BASE_FIELDS[mode], output_path=tmp_path / "out.txt")
+        cfg = write_config(tmp_path, **dict(fields, K=22))
+        assert parse_config(cfg, mode).K == 22
+        cfg = write_config(tmp_path, **dict(fields, K=23))
+        start = time.monotonic()
+        assert main([mode, "--config", str(cfg)]) == 2
+        assert time.monotonic() - start < 1.0
+        assert "field 'K' must be < 23" in capsys.readouterr().err
+        assert not (tmp_path / "out.txt").exists()
+
     def test_mode_disagreement_is_reported_before_unread_fields(self, tmp_path):
         cfg = write_config(tmp_path, mode="kl-check", output_path="x",
                            **BASE_FIELDS["kl-check"])

@@ -28,7 +28,13 @@ from klconst import (
 )
 from klconst.core import _kl_energy
 from klconst.detection import gram
-from klconst.linksim import _gram_root, _qam_slicer, _stream, _substreams
+from klconst.linksim import (
+    _gram_root,
+    _log_ratio_law,
+    _qam_slicer,
+    _stream,
+    _substreams,
+)
 
 # frozen with 40-digit arithmetic for z = 1.959963984540054
 WILSON_0_100_HIGH = 0.036993498206985676
@@ -44,16 +50,45 @@ def random_unit_direction(rng, K):
     return v / np.linalg.norm(v)
 
 
-def a_formed_kl(s_i, s_k, params, samples, seed):
-    """kl_mc_estimate as written with A = R B^T formed by _gram_root, on the
-    same substreams and with the same accumulation: (estimate, std_error)."""
-    sigma2, M = params.sigma2, params.M
-    x_i, x_k = s_i.vector(), s_k.vector()
-    e_i = float(np.real(np.vdot(x_i, x_i)))
-    e_k = float(np.real(np.vdot(x_k, x_k)))
+# (K, M) cases of the KL tests; 5000 samples end on a partial substream
+# (2048 + 2048 + 904)
+KL_CASES = [(1, 3), (2, 1), (2, 4), (3, 2), (4, 8)]
+
+
+def kl_case(K, M):
+    rng = np.random.default_rng(100 * K + M)
+    s_i = SignalPoint(1.1, random_unit_direction(rng, K))
+    s_k = SignalPoint(0.6, random_unit_direction(rng, K))
+    return s_i, s_k, ChannelParams(M=M, K=K, sigma2=0.35)
+
+
+def b_transpose(x, sigma2):
+    """B^T = sigma I + c x^* x^T, the Hermitian root of x^* x^T + sigma2 I."""
+    sigma = math.sqrt(sigma2)
+    c = 1.0 / (math.sqrt(sigma2 + np.vdot(x, x).real) + sigma)
+    return sigma * np.eye(x.size) + c * np.outer(x.conj(), x)
+
+
+def log_ratio_terms(x_i, x_k, sigma2):
+    """(c_i, c_k, log-det ratio, H) of the KL log-ratio sample for blocks
+    sent as x_i: H = c_i w_i w_i^H - c_k w_k w_k^H with w = B^T x^*."""
+    e_i, e_k = np.vdot(x_i, x_i).real, np.vdot(x_k, x_k).real
     c_i = 1.0 / (sigma2 * (sigma2 + e_i))
     c_k = 1.0 / (sigma2 * (sigma2 + e_k))
-    log_det_ratio = math.log(sigma2 + e_i) - math.log(sigma2 + e_k)
+    w_i, w_k = (b_transpose(x_i, sigma2) @ x.conj() for x in (x_i, x_k))
+    H = c_i * np.outer(w_i, w_i.conj()) - c_k * np.outer(w_k, w_k.conj())
+    return c_i, c_k, math.log(sigma2 + e_i) - math.log(sigma2 + e_k), H
+
+
+def a_formed_kl(s_i, s_k, params, samples, seed):
+    """The KL estimate with A = R B^T formed by _gram_root on substreams
+    keyed as kl_mc_estimate keys its own, and with the same accumulation:
+    (estimate, std_error).  It draws the Bartlett factors of the SER path,
+    not kl_mc_estimate's two gammas a sample, so the two agree in law only.
+    """
+    sigma2, M = params.sigma2, params.M
+    x_i, x_k = s_i.vector(), s_k.vector()
+    c_i, c_k, log_det_ratio, _ = log_ratio_terms(x_i, x_k, sigma2)
     total = total_sq = 0.0
     for b, n in _substreams(samples):
         A = _gram_root(_stream(seed, b), x_i, n, M, sigma2)
@@ -233,17 +268,51 @@ class TestKlMcEstimate:
         assert est.estimate == 0.0
         assert est.std_error == 0.0
 
-    @pytest.mark.parametrize("K, M", [(1, 3), (2, 1), (2, 4), (3, 2), (4, 8)])
-    def test_same_draws_as_the_a_formed_estimator(self, K, M):
-        # 5000 samples end on a partial substream (2048 + 2048 + 904)
-        rng = np.random.default_rng(100 * K + M)
-        s_i = SignalPoint(1.1, random_unit_direction(rng, K))
-        s_k = SignalPoint(0.6, random_unit_direction(rng, K))
-        params = ChannelParams(M=M, K=K, sigma2=0.35)
-        est = kl_mc_estimate(s_i, s_k, params, 5000, seed=31)
-        mean, se = a_formed_kl(s_i, s_k, params, 5000, seed=31)
-        assert est.estimate == pytest.approx(mean, rel=1e-12, abs=0.0)
-        assert est.std_error == pytest.approx(se, rel=1e-12, abs=0.0)
+    @pytest.mark.parametrize("K, M", KL_CASES)
+    def test_two_eigenvalue_form_equals_the_a_formed_sample(self, K, M):
+        # on the Gram draws of _gram_root, tr(W H) = sum_j lambda_j ||R u_j||^2
+        # over the eigenpairs of H, and R u = A (B^T)^-1 u; every eigenvalue
+        # but lambda_+- is ~0, so their two terms give each sample
+        s_i, s_k, params = kl_case(K, M)
+        sigma2, x_i, x_k = params.sigma2, s_i.vector(), s_k.vector()
+        c_i, c_k, log_det_ratio, H = log_ratio_terms(x_i, x_k, sigma2)
+        (lam_plus, lam_minus), ldr = _log_ratio_law(x_i, x_k, sigma2)
+        assert ldr == log_det_ratio
+        ev, U = np.linalg.eigh(H)
+        scale = np.abs(ev).max()
+        assert lam_plus == pytest.approx(max(ev[-1], 0.0), rel=0.0, abs=1e-12 * scale)
+        assert lam_minus == pytest.approx(min(ev[0], 0.0), rel=0.0, abs=1e-12 * scale)
+        assert np.abs(ev[1:-1]).max(initial=0.0) <= 1e-12 * scale
+        Y = np.linalg.solve(b_transpose(x_i, sigma2), U[:, [-1, 0]])
+        for b, n in _substreams(5000):
+            A = _gram_root(_stream(31, b), x_i, n, M, sigma2)
+            q_i = np.sum(np.abs(A @ x_i.conj()) ** 2, axis=-1)
+            q_k = np.sum(np.abs(A @ x_k.conj()) ** 2, axis=-1)
+            g = np.sum(np.abs(A @ Y) ** 2, axis=-2)
+            two = (lam_plus * g[:, 0] + lam_minus * g[:, 1]) / M - log_det_ratio
+            a_formed = (q_i * c_i - q_k * c_k) / M - log_det_ratio
+            # rel 1e-12 of the terms each sample sums, since a sample near 0
+            # is a difference of terms of order 1
+            terms = (q_i * c_i + q_k * c_k) / M + abs(log_det_ratio)
+            assert np.all(np.abs(two - a_formed) <= 1e-12 * terms)
+
+    @pytest.mark.parametrize("K, M", KL_CASES)
+    def test_spread_matches_the_two_eigenvalue_law(self, K, M):
+        # a sample (lambda_+ g_1 + lambda_- g_2)/M - ln(...) with g ~ Gamma(M)
+        # has variance (lambda_+^2 + lambda_-^2)/M; both estimators, on
+        # their own draws, must show it.  At 200 000 samples a sample SD is
+        # off by sqrt((kurtosis - 1)/(4 n)) <= 0.32% relative (kurtosis <= 9,
+        # the exponential's at M = 1), so 2% is over 6 of those
+        s_i, s_k, params = kl_case(K, M)
+        *_, H = log_ratio_terms(s_i.vector(), s_k.vector(), params.sigma2)
+        ev = np.linalg.eigvalsh(H)
+        # at K = 1 the one eigenvalue is lambda_+ or lambda_-, the other 0
+        sd = math.sqrt((min(ev[0], 0.0) ** 2 + max(ev[-1], 0.0) ** 2) / M)
+        samples = 200_000
+        est = kl_mc_estimate(s_i, s_k, params, samples, seed=31)
+        _, se = a_formed_kl(s_i, s_k, params, samples, seed=31)
+        assert math.sqrt(samples) * est.std_error == pytest.approx(sd, rel=0.02)
+        assert math.sqrt(samples) * se == pytest.approx(sd, rel=0.02)
 
     def test_matches_closed_form_within_3_se(self, rng):
         v1 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
