@@ -276,12 +276,6 @@ def _g(x):
     return f"{x:.12g}"
 
 
-def _write_text(path, text):
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    p.write_text(text)
-
-
 def _build_library(cfg, sizes):
     """Direction codebooks for the direction-bit counts in sizes.
 
@@ -337,11 +331,11 @@ def run_design(cfg):
         lines.append(f"{_g(snr_db)},{chosen.csv()}")
         table = [ALLOCATION_CSV_HEADER]
         table += [row.csv() for row in outcome.per_allocation_table]
-        _write_text(f"{stem}_point{idx:02d}_table.csv", "\n".join(table) + "\n")
+        Path(f"{stem}_point{idx:02d}_table.csv").write_text("\n".join(table) + "\n")
         save_constellation(
             outcome.constellation, f"{stem}_point{idx:02d}_constellation.txt"
         )
-    _write_text(out, "\n".join(lines) + "\n")
+    out.write_text("\n".join(lines) + "\n")
     return 0
 
 
@@ -386,7 +380,7 @@ def run_ser_sweep(cfg):
                 f"{_g(est.ser)},{_g(est.ci95_low)},{_g(est.ci95_high)},"
                 f"{est.trials},{est.seed}"
             )
-    _write_text(cfg.output_path, "\n".join(lines) + "\n")
+    Path(cfg.output_path).write_text("\n".join(lines) + "\n")
     return 0
 
 
@@ -413,7 +407,7 @@ def run_kl_check(cfg):
                 f"{p},{cfg.K},{cfg.M},{_g(snr_db)},{_g(closed)},{_g(est.estimate)},"
                 f"{_g(est.std_error)},{_g(z)},{est.samples},{est.seed}"
             )
-    _write_text(cfg.output_path, "\n".join(lines) + "\n")
+    Path(cfg.output_path).write_text("\n".join(lines) + "\n")
     return 0
 
 
@@ -427,7 +421,6 @@ def run_pack_unitary(cfg):
             seed=cfg.seed,
         )
     )
-    Path(cfg.output_path).parent.mkdir(parents=True, exist_ok=True)
     save_unitary(uset, cfg.output_path)
     print(
         f"packed {uset.size} directions in K={uset.K}: "
@@ -448,9 +441,11 @@ _RUNNERS = {
 def run(cfg):
     """Execute a parsed config; returns the process exit code.
 
+    The output file's directory is created here, once for the whole run.
     Config problems found while running raise ConfigError; any other
     ValueError or ArithmeticError, and a MemoryError, is a numeric failure.
     """
+    Path(cfg.output_path).parent.mkdir(parents=True, exist_ok=True)
     return _RUNNERS[cfg.mode](cfg)
 
 

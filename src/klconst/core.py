@@ -216,6 +216,7 @@ class UnitarySet:
         V.flags.writeable = False
         self.vectors = V
         self.min_sq_dist = _min_sq_chordal(V)
+        self._text = None
 
     @property
     def K(self):
@@ -229,6 +230,14 @@ class UnitarySet:
     def bits(self):
         """Direction bits l_v = log2(cardinality)."""
         return self._bits
+
+    def _vector_text(self):
+        # the vector lines of a layout file, formatted once and cached: the
+        # vectors are read-only, and every constellation built on this set
+        # writes the same lines
+        if self._text is None:
+            self._text = _format_vectors(self.vectors)
+        return self._text
 
     def __repr__(self):
         d = "inf" if math.isinf(self.min_sq_dist) else f"{self.min_sq_dist:.6g}"
@@ -512,13 +521,23 @@ def min_kl_bruteforce(c, sigma2):
 # serialization
 # ---------------------------------------------------------------------------
 
-def write_layout(path, header, amplitudes, vectors):
+_DECIMAL = "{:.17g}".format
+
+
+def _format_vectors(V):
+    """Vector lines of the layout as one string, a row per line: the 2K
+    re/im parts of each entry as '.17g' decimals, which read back to the
+    same doubles."""
+    rows = np.ascontiguousarray(V).view(np.float64).tolist()
+    return "\n".join(" ".join(map(_DECIMAL, row)) for row in rows)
+
+
+def write_layout(path, header, amplitudes, directions):
     """Write the plain-text layout read by :func:`read_layout`: the header
-    line, one amplitude per line, then one vector per line as interleaved
-    re/im decimals."""
-    lines = [header] + [f"{a:.17g}" for a in amplitudes]
-    for v in vectors:
-        lines.append(" ".join(f"{z.real:.17g} {z.imag:.17g}" for z in v))
+    line, one amplitude per line (a sequence of floats), then the vectors
+    of the UnitarySet ``directions``, one per line as interleaved re/im
+    decimals."""
+    lines = [header, *map(_DECIMAL, amplitudes), directions._vector_text()]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -611,7 +630,7 @@ def save_constellation(c, path):
     re/im interleaved).
     """
     header = f"{c.K} {c.levels.size} {c.directions.size} {c.sigma2_design:.17g}"
-    write_layout(path, header, c.levels.amplitudes, c.directions.vectors)
+    write_layout(path, header, c.levels.amplitudes.tolist(), c.directions)
 
 
 def load_constellation(path):

@@ -32,14 +32,14 @@ SER path's draw order is: the message indices of every trial; then the
 gamma diagonal entries, trial by trial and i = 0..r-1 within a trial; then
 the real parts of the entries above the diagonal, trial by trial and row
 by row within a trial, and their imaginary parts in the same order.  The
-Bartlett part of that order is written once, in _bartlett_draws, which
-only the SER path calls.  The KL estimator draws n x 2 gammas of shape M
-per substream of n samples, trial by trial.  Schemes run on one seed
-share the message indices and base Bartlett draws of each substream
-(common random numbers), as far as their message sets have the same size
-and they send the same number of indices per trial; every message set
-here has a power-of-two size, for which the index draw uses a fixed
-share of the stream.
+Bartlett part of that order is drawn in _bartlett, which only the SER
+path calls.  The KL estimator draws n x 2 gammas of shape M per substream
+of n samples, trial by trial.  Schemes run on one seed share the message
+indices and base Bartlett draws of each substream (common random
+numbers), as far as their message sets have the same size and they send
+the same number of indices per trial; every message set here has a
+power-of-two size, for which the index draw uses a fixed share of the
+stream.
 
 Error counts get Wilson 95% intervals rather than the normal
 approximation, which stays honest when only a handful of block errors
@@ -224,25 +224,16 @@ def wilson_interval(errors, trials):
 # ---------------------------------------------------------------------------
 
 
-def _bartlett_draws(rng, n, M, K):
-    """Entries of n Bartlett factors R with r = min(M, K) rows, drawn in
-    the order the module docstring gives: the diagonal sqrt(gamma_i), shape
-    (n, r), then the m entries above it, shape (n, m), at (rows, cols).
-    """
-    r = min(M, K)
-    roots = np.sqrt(rng.standard_gamma(M - np.arange(r), size=(n, r)))
-    rows, cols = np.triu_indices(r, 1, K)
-    return roots, _complex_normal(rng, (n, rows.size)), rows, cols
-
-
 def _bartlett(rng, n, M, K):
-    """n Bartlett factors R, shape (n, min(M, K), K), with R^H R ~ W_K(M, I)."""
-    roots, upper, rows, cols = _bartlett_draws(rng, n, M, K)
-    r = roots.shape[1]
+    """n Bartlett factors R, shape (n, r, K) with r = min(M, K), with R^H R
+    ~ W_K(M, I), drawn in the order the module docstring gives: the
+    diagonal sqrt(gamma_i), then the entries above it."""
+    r = min(M, K)
     R = np.zeros((n, r, K), dtype=np.complex128)
     diag = np.arange(r)
-    R[:, diag, diag] = roots
-    R[:, rows, cols] = upper
+    R[:, diag, diag] = np.sqrt(rng.standard_gamma(M - diag, size=(n, r)))
+    rows, cols = np.triu_indices(r, 1, K)
+    R[:, rows, cols] = _complex_normal(rng, (n, rows.size))
     return R
 
 

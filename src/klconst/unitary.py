@@ -316,7 +316,7 @@ def optimize_unitary(cfg):
 
 def save_unitary(uset, path):
     """Write a codebook: header line ``K N``, then one vector per line."""
-    write_layout(path, f"{uset.K} {uset.size}", [], uset.vectors)
+    write_layout(path, f"{uset.K} {uset.size}", [], uset)
 
 
 def load_unitary(path):

@@ -12,6 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import klconst.cli
+import klconst.core
 import klconst.unitary
 from klconst import library_codebooks, load_constellation, load_unitary, welch_limit
 from klconst.cli import ConfigError, _build_library, main, parse_config
@@ -167,6 +169,13 @@ class TestFieldsPerMode:
             with pytest.raises(ConfigError, match=f"missing required field '{key}'"):
                 parse_config(cfg, mode)
 
+    @pytest.mark.parametrize("mode", list(BASE_FIELDS))
+    def test_missing_output_directory_is_created(self, tmp_path, mode):
+        out = tmp_path / "new" / "dir" / "out.txt"
+        cfg = write_config(tmp_path, output_path=out, **BASE_FIELDS[mode])
+        assert main([mode, "--config", str(cfg)]) == 0
+        assert out.is_file()
+
     @pytest.mark.parametrize("mode", ["design", "ser-sweep", "pack-unitary"])
     def test_l_s_is_bounded(self, tmp_path, capsys, mode):
         # at l_s = 10 packing's per-step (N, N) array holds 2^20 entries
@@ -309,6 +318,43 @@ class TestDesignMode:
         first = (tmp_path / "out" / "design.csv").read_bytes()
         main(["design", "--config", str(design_cfg)])
         assert (tmp_path / "out" / "design.csv").read_bytes() == first
+
+    def test_codebook_lines_are_formatted_once(self, tmp_path, monkeypatch,
+                                               library_k2_ls6, per_element_layout):
+        # every point of a grid pairs its level set with one of the l_s + 1
+        # codebooks, so each codebook's vector lines are formatted once
+        # however many constellation files share it
+        books = {}
+        for l_v, uset in library_k2_ls6.items():
+            books[f"unitary_library_{l_v}"] = tmp_path / f"u{l_v}.txt"
+            klconst.unitary.save_unitary(uset, books[f"unitary_library_{l_v}"])
+        formatted, saved = [], []
+        format_vectors = klconst.core._format_vectors
+        save_constellation = klconst.cli.save_constellation
+
+        def counting_format(V):
+            formatted.append(V)
+            return format_vectors(V)
+
+        def recording_save(c, path):
+            saved.append((c, path))
+            save_constellation(c, path)
+
+        monkeypatch.setattr(klconst.core, "_format_vectors", counting_format)
+        monkeypatch.setattr(klconst.cli, "save_constellation", recording_save)
+        snrs = ", ".join(f"{-20 + 0.5 * i:g}" for i in range(61))
+        cfg = write_config(tmp_path, K=2, l_s=6, snr_db_list=snrs, seed=0,
+                           output_path=tmp_path / "grid.csv", **books)
+        assert main(["design", "--config", str(cfg)]) == 0
+        assert len(saved) == 61
+        codebooks = {id(c.directions) for c, _ in saved}
+        assert len(codebooks) >= 2
+        assert len(formatted) == len(codebooks)
+        for c, path in saved:
+            header = f"{c.K} {c.levels.size} {c.directions.size} {c.sigma2_design:.17g}"
+            assert Path(path).read_text() == per_element_layout(
+                header, c.levels.amplitudes, c.directions.vectors
+            )
 
 
 class TestLazyLibrary:

@@ -20,14 +20,20 @@ from klconst import (
     canonical_direction,
     kl_full,
     load_constellation,
+    load_unitary,
     min_kl_bruteforce,
     pairwise_kl_matrix,
     save_constellation,
+    save_unitary,
 )
-from klconst.core import _kl_direction, _kl_energy
+from klconst.core import _format_vectors, _kl_direction, _kl_energy, write_layout
 
 # frozen with 40-digit arithmetic: x - ln x - 1 at x = 1/2
 D2_HALF = 0.19314718055994530942
+
+# decimals whose '.17g' text is easy to get wrong: signed zeros, the
+# smallest subnormal, exponents, and values that need all 17 digits
+AWKWARD = [-0.0, 0.0, 5e-324, 1e-300, 0.1, 1 / 3, 1 - 2**-53, 1e16, 1e-5, 1.5e22, -2.5e-7]
 
 
 def unit(v):
@@ -466,3 +472,70 @@ class TestSerialization:
         path.write_text("2 2 2 1.0\n1\n")
         with pytest.raises(FileFormatError):
             load_constellation(path)
+
+
+class TestLayoutBytes:
+    """The writer prints exactly what per-element f"{x:.17g}" printed."""
+
+    # unit vectors carrying the awkward decimals; the last has norm 1 - 2^-53
+    VECTORS = np.array([
+        [complex(-0.0, 1.0), complex(-0.0, -0.0)],
+        [complex(0.1, 5e-324), complex(math.sqrt(0.99), 1e-300)],
+        [complex(0.0, 1 / 3), complex(-2.5e-7, math.sqrt(8 / 9 - 6.25e-14))],
+        [complex(1 - 2**-53, -0.0), complex(1e-300, 0.0)],
+    ])
+
+    def test_vector_lines_of_any_array(self, per_element_layout):
+        # interleaved re/im, viewed as complex so every signed zero stays
+        V = np.array(AWKWARD + [-x for x in AWKWARD]).view(complex)[:, None]
+        V = np.hstack([V, V[::-1]])
+        expected = per_element_layout("h", [], V).split("\n", 1)[1]
+        assert _format_vectors(V) + "\n" == expected
+        assert _format_vectors(np.asfortranarray(V)) + "\n" == expected
+
+    def test_amplitude_lines(self, tmp_path, per_element_layout):
+        uset = UnitarySet(self.VECTORS)
+        path = tmp_path / "layout.txt"
+        write_layout(path, "2 4", AWKWARD, uset)
+        expected = per_element_layout("2 4", np.array(AWKWARD), self.VECTORS)
+        assert path.read_text() == expected
+
+    def test_save_unitary(self, tmp_path, per_element_layout):
+        path = tmp_path / "u.txt"
+        save_unitary(UnitarySet(self.VECTORS), path)
+        assert path.read_text() == per_element_layout("2 4", [], self.VECTORS)
+        assert "-0 1 -0 -0\n" in path.read_text()
+
+    @pytest.mark.parametrize("a0,size", [(-0.0, 1), (1e-5, 4), (1 / 3, 4)])
+    def test_save_constellation(self, tmp_path, per_element_layout, a0, size):
+        sigma2 = 0.1
+        levels = LevelSet([a0, math.sqrt(2 - a0 * a0)], sigma2)
+        c = MultiLevelConstellation(levels, UnitarySet(self.VECTORS[:size]))
+        path = tmp_path / "c.txt"
+        save_constellation(c, path)
+        header = f"2 2 {size} 0.10000000000000001"
+        assert path.read_text() == per_element_layout(
+            header, levels.amplitudes, self.VECTORS[:size]
+        )
+
+    def test_load_save_reproduces_the_file(self, tmp_path):
+        # norms are exactly 1, so the loader's renormalization moves no bit
+        vectors = (
+            "0 1 0 0\n"
+            "0.10000000000000001 4.9406564584124654e-324 0.99498743710661997 1e-300\n"
+            "0 0.33333333333333331 0 0.94280904158206336\n"
+            "1.0000000000000001e-05 0 0 -0.99999999995\n"
+        )
+        book = "2 4\n" + vectors
+        constellation = (
+            "2 2 4 0.33333333333333331\n1.0000000000000001e-05\n1.4142135623377396\n"
+            + vectors
+        )
+        for text, load, save in [
+            (book, load_unitary, save_unitary),
+            (constellation, load_constellation, save_constellation),
+        ]:
+            src, out = tmp_path / "src.txt", tmp_path / "out.txt"
+            src.write_text(text)
+            save(load(src), out)
+            assert out.read_bytes() == src.read_bytes()
