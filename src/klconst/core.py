@@ -56,6 +56,12 @@ LOAD_NORM_TOL = 1e-6
 POWER_TOL = 1e-9
 CHAIN_RTOL = 1e-9
 
+# Entries of the largest array a batched kernel builds at once: the packer
+# climbs restarts in stacks whose per-step (R, N, N) arrays hold at most
+# this many, and estimate_ser scores trials in blocks whose (rows, N_dirs)
+# direction scores do; one restart or row when a single one exceeds it.
+_CHUNK_ENTRIES = 2**16
+
 
 class FileFormatError(ValueError):
     """Raised when a constellation or codebook file cannot be parsed.
@@ -554,9 +560,9 @@ def parse_vector_line(line, K, lineno, path):
         vals = [float(f) for f in fields]
     except ValueError as exc:
         raise FileFormatError(f"{path}:{lineno}: bad decimal: {exc}") from None
-    re = np.array(vals[0::2])
-    im = np.array(vals[1::2])
-    return re + 1j * im
+    # the interleaved pairs viewed as complex keep every signed zero, which
+    # re + 1j * im would turn into +0
+    return np.array(vals).view(complex)
 
 
 def read_layout(path, header, build):
@@ -616,8 +622,11 @@ def read_layout(path, header, build):
             f"{path}:{vector_lines[row][0]}: vector norm {norms[row]:.9g} "
             f"deviates from 1 beyond {LOAD_NORM_TOL}"
         )
+    # scaled as reals by 1 / norm, the factor a complex division by norm + 0j
+    # applies, which would also add +0 to a -0 part
+    V = (V.view(np.float64) * (1.0 / norms)[:, None]).view(complex)
     try:
-        return build(fields, np.array(amps), V / norms[:, None])
+        return build(fields, np.array(amps), V)
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from None
 

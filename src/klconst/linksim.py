@@ -63,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChannelParams, MultiLevelConstellation, SignalPoint
+from .core import _CHUNK_ENTRIES, ChannelParams, MultiLevelConstellation, SignalPoint
 from .detection import _score_weights, _two_stage_gram, gram
 
 __all__ = [
@@ -188,6 +188,20 @@ def _substreams(trials):
         yield full, rem
 
 
+def _substream_rngs(seed, trials):
+    """(rng, n) for each substream of trials, in order.  rng is one
+    Generator whose Philox is re-keyed to (seed, b), with a zero counter and
+    empty buffers, before substream b, so it draws what _stream(seed, b)
+    draws; a new Philox per substream would also build, and discard, a
+    SeedSequence from OS entropy."""
+    rng = _stream(seed, 0)
+    state = rng.bit_generator.state
+    for b, n in _substreams(trials):
+        state["state"]["key"][1] = b
+        rng.bit_generator.state = state
+        yield rng, n
+
+
 def _complex_normal(rng, shape, scale=1.0):
     z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return z * (scale * math.sqrt(0.5))
@@ -288,8 +302,7 @@ def _block_errors(params, trials, seed, choices, per_trial, blocks, decide):
         raise ValueError(f"trials must be >= 1, got {trials!r}")
     seed = _check_seed(seed)
     errors = 0
-    for b, n in _substreams(trials):
-        rng = _stream(seed, b)
+    for rng, n in _substream_rngs(seed, trials):
         sent = rng.integers(0, choices, size=(n, per_trial))
         G = gram(_gram_root(rng, blocks(sent), n, params.M, params.sigma2))
         errors += int(np.count_nonzero(np.any(decide(G) != sent, axis=-1)))
@@ -304,7 +317,9 @@ def estimate_ser(c, params, trials, seed):
     docstring for the sampler and the draw order), the two-stage decision
     of detect_two_stage taken from G at the operating noise level, and an
     error on index mismatch.  Identical seeds give identical results
-    regardless of how the substreams are scheduled.
+    regardless of how the substreams are scheduled.  Each row is decided
+    on its own, so a substream is scored in blocks of rows whose (rows,
+    N_dirs) score array holds at most _CHUNK_ENTRIES entries.
     """
     if not isinstance(c, MultiLevelConstellation):
         raise TypeError("c must be a MultiLevelConstellation")
@@ -313,9 +328,16 @@ def estimate_ser(c, params, trials, seed):
             f"constellation block length {c.K} does not match params.K = {params.K}"
         )
     F = _score_weights(c.directions)
+    rows = max(1, _CHUNK_ENTRIES // c.directions.size)
+
+    def decide(G):
+        return np.concatenate([
+            _two_stage_gram(G[lo:lo + rows], c, params.sigma2, params.M, F)
+            for lo in range(0, len(G), rows)
+        ])[:, None]
+
     return _block_errors(
-        params, trials, seed, c.size, 1, lambda sent: c.point_vectors()[sent[:, 0]],
-        lambda G: _two_stage_gram(G, c, params.sigma2, params.M, F)[:, None],
+        params, trials, seed, c.size, 1, lambda sent: c.point_vectors()[sent[:, 0]], decide
     )
 
 
@@ -389,8 +411,8 @@ def kl_mc_estimate(s_i, s_k, params, samples, seed):
     lam /= params.M
     total = 0.0
     total_sq = 0.0
-    for b, n in _substreams(samples):
-        ratio = _stream(seed, b).standard_gamma(params.M, size=(n, 2)) @ lam
+    for rng, n in _substream_rngs(seed, samples):
+        ratio = rng.standard_gamma(params.M, size=(n, 2)) @ lam
         ratio -= log_det_ratio
         total += float(ratio.sum())
         total_sq += float(ratio @ ratio)
@@ -440,7 +462,12 @@ def _qam_slicer(points):
     below the exact midpoint of its two levels, so side="left" decides as
     an exact argmin of |z - p|^2 would, ties included.
     """
-    re_levels, im_levels = np.unique(points.real), np.unique(points.imag)
+    def distinct(x):
+        # np.unique's doubles, sorted, without the numpy.ma import it pulls in
+        x = np.sort(x)
+        return x[np.concatenate(([True], x[1:] != x[:-1]))]
+
+    re_levels, im_levels = distinct(points.real), distinct(points.imag)
 
     def thresholds(levels):
         a, b = levels[:-1], levels[1:]

@@ -48,6 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    _CHUNK_ENTRIES,
     UnitarySet,
     _min_sq_chordal,
     _pow2_bits,
@@ -76,12 +77,6 @@ SHARPEN_START = 8.0
 SHARPEN_SPAN = 512.0
 STEP_START = 0.6
 STEP_DECAY = 1.0 / 30.0
-
-# Restarts are climbed together in stacks whose per-step (R, N, N) arrays
-# hold at most this many entries, one restart when N^2 alone exceeds it.
-# 2^16 bounds a step's float and complex arrays to about 1.5 MB, while the
-# default 8 restarts still climb as one stack up to N = 64.
-_CHUNK_ENTRIES = 2**16
 
 DEFAULT_RESTARTS = 8
 DEFAULT_ITERATIONS = 1500
@@ -285,6 +280,8 @@ def _pack(cfgs):
         if n > 1:
             sets = _starts(cfg)
             if _climbs(cfg):
+                # a step's float and complex arrays stay near 1.5 MB, and the
+                # default 8 restarts climb as one stack up to N = 64
                 chunk = max(1, _CHUNK_ENTRIES // n**2)
                 sets = np.concatenate([
                     _climb(sets[lo:lo + chunk], cfg.iterations)

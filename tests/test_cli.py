@@ -448,6 +448,24 @@ class TestLazyLibrary:
 
 
 class TestSerSweepMode:
+    def test_pilot_qam_does_not_import_numpy_ma(self, tmp_path):
+        # the QAM slicer's levels are sorted and deduplicated by hand, since
+        # np.unique imports numpy.ma
+        cfg = write_config(tmp_path, K=2, M=4, l_s=2, snr_db_list="0", trials=200,
+                           seed=1, schemes="pilot-qam", output_path=tmp_path / "ser.csv")
+        script = (
+            "import sys; from klconst.cli import main; code = main(sys.argv[1:]); "
+            "print(code, 'numpy.ma' in sys.modules)"
+        )
+        src = str(Path(klconst.linksim.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "ser-sweep", "--config", str(cfg)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.stdout.split() == ["0", "False"], proc.stderr
+        assert len((tmp_path / "ser.csv").read_text().splitlines()) == 2
+
     def test_rows_per_scheme_and_snr(self, tmp_path):
         cfg = write_config(
             tmp_path,

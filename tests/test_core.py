@@ -539,3 +539,15 @@ class TestLayoutBytes:
             src.write_text(text)
             save(load(src), out)
             assert out.read_bytes() == src.read_bytes()
+
+    def test_negative_zeros_survive_load_save(self, tmp_path):
+        # -0 in real and imaginary parts, norms exactly 1
+        vectors = "-0 1 -0 -0\n1 -0 0 0\n0 -0 -0 1\n-0 -0 1 -0\n"
+        for text, load, save in [
+            ("2 4\n" + vectors, load_unitary, save_unitary),
+            ("2 1 4 0.5\n1\n" + vectors, load_constellation, save_constellation),
+        ]:
+            src, out = tmp_path / "src.txt", tmp_path / "out.txt"
+            src.write_text(text)
+            save(load(src), out)
+            assert out.read_bytes() == src.read_bytes()

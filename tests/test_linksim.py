@@ -33,6 +33,7 @@ from klconst.linksim import (
     _log_ratio_law,
     _qam_slicer,
     _stream,
+    _substream_rngs,
     _substreams,
 )
 
@@ -246,6 +247,44 @@ class TestEstimateSer:
         est = estimate_ser(designed_c2, params, 2048, seed=5)
         assert est.ci95_low <= est.ser <= est.ci95_high
         assert est.seed == 5
+
+    # error counts of 5000 trials (substreams of 2048, 2048 and 904), taken
+    # before the scores were cut into blocks: 256 directions are scored 256
+    # rows at a time, 1024 directions 64 rows at a time
+    @pytest.mark.parametrize(
+        "K, n_dirs, n_levels, M, snr_db, seed, errors",
+        [(2, 256, 2, 64, 10.0, 41, 1519), (3, 256, 2, 16, 6.0, 42, 1216),
+         (2, 1024, 1, 256, 20.0, 43, 98)],
+    )
+    def test_pinned_counts_across_score_blocks(self, K, n_dirs, n_levels, M, snr_db,
+                                               seed, errors):
+        rng = np.random.default_rng(1000 * K + n_dirs)
+        V = rng.standard_normal((n_dirs, K)) + 1j * rng.standard_normal((n_dirs, K))
+        V /= np.linalg.norm(V, axis=1, keepdims=True)
+        params = ChannelParams.from_snr_db(M=M, K=K, snr_db=snr_db)
+        amplitudes = [1.0] if n_levels == 1 else [0.5, math.sqrt(1.75)]
+        c = MultiLevelConstellation(LevelSet(amplitudes, params.sigma2), UnitarySet(V))
+        assert estimate_ser(c, params, 5000, seed).errors == errors
+
+
+class TestSubstreamRngs:
+    def test_draws_what_a_fresh_stream_draws(self):
+        # each substream draws 32-bit integers, which can leave half a word
+        # in Philox's state, and leaves part of its buffer unread: the
+        # re-keying must reset both
+        seed, trials = 2**64 - 1, 3 * 2048 + 5
+        got = [n for _, n in _substream_rngs(seed, trials)]
+        assert got == [n for _, n in _substreams(trials)]
+        for (b, n), (rng, _) in zip(_substreams(trials), _substream_rngs(seed, trials)):
+            fresh = _stream(seed, b)
+            draws = [
+                (g.integers(0, 5, size=3), g.standard_gamma(4.0, size=n % 7 + 1),
+                 g.standard_normal(3), g.integers(0, 2**40))
+                for g in (fresh, rng)
+            ]
+            for x, y in zip(*draws):
+                np.testing.assert_array_equal(x, y)
+            assert repr(rng.bit_generator.state) == repr(fresh.bit_generator.state)
 
 
 class TestKlMcEstimate:
