@@ -25,10 +25,9 @@ Config files are flat `key = value` text; a line whose first non-blank
 character is `#` is a comment.  Lists are comma-separated (snr_db_list =
 0, 5, 10).  A mode accepts `mode` and the fields it reads (_FIELDS); any
 other field is a config error.  Direction codebooks are packed by
-default (all sizes of a run together, see klconst.unitary);
-unitary_library_<l_v> keys (design and ser-sweep) point individual sizes
-at codebook files instead.  Only the sizes a run uses and no file
-supplies are packed.
+default (see klconst.unitary); unitary_library_<l_v> keys (design and
+ser-sweep) point individual sizes at codebook files instead.  Only the
+sizes a run uses and no file supplies are packed.
 
 Exit codes: 0 success, 2 config problem, 3 numeric failure.  Identical
 config and seed give byte-identical output files.
@@ -236,11 +235,13 @@ def parse_config(path, mode):
                 f"field {key!r} is not read by mode {mode}; "
                 f"it applies to {', '.join(modes)}"
             )
-    library_paths = {
-        _as_int(key[len(_LIBRARY_KEY):], key, low=0): raw.pop(key)
-        for key in list(raw)
-        if key.startswith(_LIBRARY_KEY)
-    }
+    library_keys = {}
+    for key in [key for key in raw if key.startswith(_LIBRARY_KEY)]:
+        l_v = _as_int(key[len(_LIBRARY_KEY):], key, low=0)
+        if l_v in library_keys:
+            raise ConfigError(f"fields {library_keys[l_v]!r} and {key!r} both name l_v = {l_v}")
+        library_keys[l_v] = key
+    library_paths = {l_v: raw.pop(key) for l_v, key in library_keys.items()}
     for key, (_, modes, required) in _FIELDS.items():
         if required and mode in modes and key not in raw:
             raise ConfigError(f"missing required field {key!r} for mode {mode}")
@@ -280,7 +281,7 @@ def _build_library(cfg, sizes):
     """Direction codebooks for the direction-bit counts in sizes.
 
     Every unitary_library_<l_v> file is validated first; sizes that no file
-    supplies are then packed together, each exactly as
+    supplies are then packed, each exactly as
     library_codebooks(cfg.K, range(cfg.l_s + 1), seed=cfg.seed) packs it.
     """
     lib = {}

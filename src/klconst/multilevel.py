@@ -413,6 +413,8 @@ def allocate_bits(l_s, sigma2, unitary_library):
     values = np.asarray(sigma2, dtype=float)
     if values.ndim > 1:
         raise ValueError(f"sigma2 must be a float or a 1-D sequence, got shape {values.shape}")
+    if values.size == 0:
+        raise ValueError("the sigma2 grid is empty")
     s2 = np.array([_check_sigma2(s) for s in values.reshape(-1).tolist()])
     if l_s < 1:
         raise ValueError(f"l_s must be >= 1, got {l_s}")

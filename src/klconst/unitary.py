@@ -14,30 +14,29 @@ At K >= 3 each restart climbs from random complex normals, 8 restarts by
 default.  At K = 2 the Bloch map sends a line to a point b on the unit
 sphere S^2 with 1 - |<u, v>|^2 = |b_u - b_v|^2 / 4, so packing lines in
 C^2 is the Tammes problem on S^2 (Conway, Hardin & Sloane, "Packing lines,
-planes, etc.", 1996).  Its starts are laid out on the sphere instead: an
-antipodal pair at N = 2, the regular tetrahedron at N = 4 (t = 2/3, the
-Welch limit) and the square antiprism at N = 8 (the Tammes optimum,
-t = 2/(4 + sqrt 2)), returned as they are, since a climb only moves them
-off the optimum; from N = 16 up the spherical Fibonacci lattice (Gonzalez,
-Math. Geosci. 2010), climbed.  Restart r at K = 2 turns that layout by a
-Haar-random SU(2) rotation drawn from the seed's stream r; a rotation keeps
-every distance, so all restarts score the same up to rounding, K = 2
-defaults to one restart, and the seed only picks the orientation of the
-codebook (still one codebook per seed).  The climb commutes with that turn
-(C = V V^H, the weights and the step all do), so at one restart and the
-default iterations N = 16, 32 and 64 turn the lattice already climbed,
-tabulated in _bloch_climbed, and skip the climb; they match a climb of the
-turned lattice to about 1e-14.  Larger N, other iterations and several
-restarts climb.
+planes, etc.", 1996).  Its codebooks are laid out on the sphere instead,
+and up to N = 64 the layout is final: an antipodal pair at N = 2, the regular
+tetrahedron at N = 4 (t = 2/3, the Welch limit) and the square antiprism
+at N = 8 (the Tammes optimum, t = 2/(4 + sqrt 2)), since a climb only
+moves them off the optimum, and at N = 16, 32 and 64 the spherical
+Fibonacci lattice (Gonzalez, Math. Geosci. 2010) already climbed at the
+default iterations, tabulated in _bloch_climbed.  From N = 128 up the bare
+lattice is climbed.  Restart r at K = 2 turns the layout by a Haar-random
+SU(2) rotation drawn from the seed's stream r; a rotation keeps every
+distance, so all restarts score the same up to rounding, K = 2 defaults to
+one restart, and the seed only picks the orientation of the codebook
+(still one codebook per seed).  The climb commutes with that turn (C =
+V V^H, the weights and the step all do), so a turned table matches a climb
+of the turned lattice to about 1e-14.  restarts and iterations do not
+change a final layout.
 
 The restarts of one packing climb together as (R, N, K) stacks, one numpy
 call per step for all of them, and each stack bounds its per-step (R, N, N)
-array to _CHUNK_ENTRIES entries.  The stacks of a run, across all the
-codebook sizes it packs, are climbed one after another in this process.
-Each restart only ever touches its own slice, so it ends on the same bits
-as a lone climb, and the stacking cannot change a codebook; ties between
-restarts still go to the earliest.  External codebooks (built by any other
-tool) can be loaded from the shared plain-text format instead.
+array to _CHUNK_ENTRIES entries.  Each restart only ever touches its own
+slice, so it ends on the same bits as a lone climb, and the stacking cannot
+change a codebook; ties between restarts still go to the earliest.
+External codebooks (built by any other tool) can be loaded from the shared
+plain-text format instead.
 """
 
 from __future__ import annotations
@@ -81,8 +80,6 @@ STEP_DECAY = 1.0 / 30.0
 DEFAULT_RESTARTS = 8
 DEFAULT_ITERATIONS = 1500
 
-# K = 2 sizes whose Bloch-sphere layout is returned without a climb
-_BLOCH_CLOSED_FORMS = (2, 4, 8)
 # K = 2 sizes whose lattice, climbed at DEFAULT_ITERATIONS, is tabulated
 # in _bloch_climbed
 _BLOCH_CLIMBED = (16, 32, 64)
@@ -92,10 +89,10 @@ _BLOCH_CLIMBED = (16, 32, 64)
 class PackingConfig:
     """Knobs of one packing run.
 
-    cardinality must be a power of two; restarts and iterations must be
-    >= 1; restarts left at None becomes 1 at K = 2 and DEFAULT_RESTARTS
-    otherwise.  At K = 2 every restart climbs a turn of one layout to the
-    same distance up to rounding, so restarts > 1 only repeats one climb.
+    K, cardinality (a power of two), restarts and iterations are positive
+    integers; restarts left at None becomes 1 at K = 2 and
+    DEFAULT_RESTARTS otherwise.  At K = 2 every restart turns one layout,
+    which scores the same up to rounding, so restarts > 1 only repeats it.
     seed, a 64-bit unsigned integer, keys the counter-based restart
     streams, so a config is fully reproducible.
     """
@@ -107,15 +104,14 @@ class PackingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.K < 1:
-            raise ValueError(f"K must be >= 1, got {self.K}")
-        _pow2_bits(self.cardinality, "cardinality")
         if self.restarts is None:
             object.__setattr__(self, "restarts", 1 if self.K == 2 else DEFAULT_RESTARTS)
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if self.iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
+        for name in ("K", "cardinality", "restarts", "iterations"):
+            value = getattr(self, name)
+            if int(value) != value or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        _pow2_bits(self.cardinality, "cardinality")
         _check_seed(self.seed)
 
 
@@ -149,22 +145,16 @@ def fejes_toth_limit(N):
     return 1.0 - 0.25 / math.sin(math.pi * N / (6 * (N - 2))) ** 2
 
 
-def _bloch_layout(n, climbed=False):
-    """The K = 2 start of n lines, laid out on the Bloch sphere.
+def _sphere_layout(n):
+    """The K = 2 layout of n lines before any climb, on the Bloch sphere.
 
     Returns (n, 2) unit vectors (cos(theta/2), e^{i phi} sin(theta/2)) for
     sphere points at height z = cos(theta) and azimuth phi: the antipodal
     pair, the tetrahedron and the square antiprism (edges all equal, at
     heights +-h with h^2 = sqrt2 / (4 + sqrt2)) for n = 2, 4 and 8, and the
-    spherical Fibonacci lattice, n heights evenly spaced in z and azimuths a
-    golden angle apart, for any other n.  With climbed, an n of
-    _BLOCH_CLIMBED gives its lattice climbed at DEFAULT_ITERATIONS instead,
-    read from the table (imported on first use).
+    bare spherical Fibonacci lattice, n heights evenly spaced in z and
+    azimuths a golden angle apart, for any other n.
     """
-    if climbed and n in _BLOCH_CLIMBED:
-        from ._bloch_climbed import LAYOUTS
-
-        return np.array(LAYOUTS[n]).view(complex).reshape(n, 2)
     if n == 2:
         z, phi = np.array([1.0, -1.0]), np.zeros(2)
     elif n == 4:
@@ -182,6 +172,21 @@ def _bloch_layout(n, climbed=False):
     )
 
 
+def _bloch_layout(n):
+    """The K = 2 layout of n lines that restarts turn: final up to n = 64,
+    the start of a climb above.
+
+    The n of _BLOCH_CLIMBED give their lattice climbed at
+    DEFAULT_ITERATIONS, read from the table (imported on first use); every
+    other n gives _sphere_layout(n).
+    """
+    if n in _BLOCH_CLIMBED:
+        from ._bloch_climbed import LAYOUTS
+
+        return np.array(LAYOUTS[n]).view(complex).reshape(n, 2)
+    return _sphere_layout(n)
+
+
 def _haar_su2(rng):
     """A Haar-random SU(2) matrix: a uniform unit quaternion (a, b)."""
     q = rng.standard_normal(4)
@@ -193,33 +198,19 @@ def _haar_su2(rng):
 def _starts(cfg):
     """The (restarts, N, K) starts of a config, restart r from stream (seed, r).
 
-    At K = 2 restart r is the Bloch layout turned by a Haar SU(2) rotation,
-    the climbed layout where _climbs(cfg) is false; otherwise it draws
-    complex normals.  Rows are unit norm.
+    At K = 2 restart r is _bloch_layout turned by a Haar SU(2) rotation;
+    otherwise it draws complex normals.  Rows are unit norm.
     """
     n, K = cfg.cardinality, cfg.K
     streams = [_stream(cfg.seed, r) for r in range(cfg.restarts)]
     if K == 2:
-        layout = _bloch_layout(n, climbed=not _climbs(cfg))
+        layout = _bloch_layout(n)
         starts = np.stack([layout @ _haar_su2(rng).T for rng in streams])
     else:
         starts = np.stack(
             [rng.standard_normal((n, K)) + 1j * rng.standard_normal((n, K)) for rng in streams]
         )
     return starts / np.linalg.norm(starts, axis=2, keepdims=True)
-
-
-def _climbs(cfg):
-    """Whether the starts of cfg are climbed: all but, at K = 2, the closed
-    forms and the sizes of _BLOCH_CLIMBED at one restart and the default
-    iterations.  Several restarts climb even there: their turns score alike
-    up to rounding, which picks the winner, and a turned table could pick
-    another one than the climb, so such configs keep the climb's codebook."""
-    n = cfg.cardinality
-    return not (cfg.K == 2 and (
-        n in _BLOCH_CLOSED_FORMS
-        or (n in _BLOCH_CLIMBED and cfg.restarts == 1 and cfg.iterations == DEFAULT_ITERATIONS)
-    ))
 
 
 def _climb(V, iterations):
@@ -260,55 +251,32 @@ def _climb(V, iterations):
     return V
 
 
-def _pack(cfgs):
-    """Best packing of each config, climbing every restart stack of the run.
-
-    Restart r of a config starts from _starts, keyed (cfg.seed, r).  The
-    K = 2 starts that _climbs rules out (the closed forms, and the
-    tabulated climbs at one restart and the default iterations) are scored
-    as they are, and N = 1 is the canonical single vector; every other
-    config's starts are cut into stacks of at most
-    max(1, _CHUNK_ENTRIES // N^2) restarts and climbed in config order.
-    Each config's results are scored in restart order, and equal exact
-    scores keep the earliest restart's set, so the returned UnitarySets do
-    not depend on the stacking.
-    """
-    books = []
-    for cfg in cfgs:
-        n = cfg.cardinality
-        best_v, best_t = canonical_direction(cfg.K)[None, :], -1.0
-        if n > 1:
-            sets = _starts(cfg)
-            if _climbs(cfg):
-                # a step's float and complex arrays stay near 1.5 MB, and the
-                # default 8 restarts climb as one stack up to N = 64
-                chunk = max(1, _CHUNK_ENTRIES // n**2)
-                sets = np.concatenate([
-                    _climb(sets[lo:lo + chunk], cfg.iterations)
-                    for lo in range(0, cfg.restarts, chunk)
-                ])
-            for V in sets:
-                t = _min_sq_chordal(V)
-                if t > best_t:
-                    best_v, best_t = V, t
-        books.append(UnitarySet(best_v))
-    return books
-
-
 def optimize_unitary(cfg):
-    """Best packing over cfg.restarts independent soft-min climbs.
+    """Best packing over the cfg.restarts starts of :func:`_starts`.
 
-    At K = 2 the restarts are turns of one Bloch-sphere layout, and the
-    N = 2, 4, 8 layouts are not climbed, nor, at one restart and the
-    default iterations, N = 16, 32, 64, which turn a tabulated climb (see
-    the module docstring).  The restarts are climbed in stacks as
-    described at :func:`_pack`; equal exact scores keep the earliest
-    restart's set.  The returned UnitarySet carries the exact recomputed
-    distance.
+    N = 1 is the canonical single vector.  At K = 2 up to N = 64 the starts
+    are turns of a final layout (see the module docstring), scored as they
+    are; every other config climbs its starts in stacks of at most
+    max(1, _CHUNK_ENTRIES // N^2) restarts.  Equal exact scores keep the
+    earliest restart's set, so the result does not depend on the stacking.
+    The returned UnitarySet carries the exact recomputed distance.
     """
     if not isinstance(cfg, PackingConfig):
         raise TypeError("cfg must be a PackingConfig")
-    return _pack([cfg])[0]
+    n = cfg.cardinality
+    if n == 1:
+        return UnitarySet(canonical_direction(cfg.K)[None, :])
+    sets = _starts(cfg)
+    if cfg.K != 2 or n > 64:
+        # a step's float and complex arrays stay near 1.5 MB, and the
+        # default 8 restarts climb as one stack up to N = 64
+        chunk = max(1, _CHUNK_ENTRIES // n**2)
+        sets = np.concatenate([
+            _climb(sets[lo:lo + chunk], cfg.iterations)
+            for lo in range(0, cfg.restarts, chunk)
+        ])
+    scores = [_min_sq_chordal(V) for V in sets]
+    return UnitarySet(sets[scores.index(max(scores))])
 
 
 def save_unitary(uset, path):
@@ -336,9 +304,9 @@ def library_codebooks(K, l_vs, seed=0):
     each size is reproducible on its own, whichever other sizes are asked
     for.
     """
-    l_vs = list(l_vs)
-    cfgs = [
-        PackingConfig(K=K, cardinality=2**l_v, seed=(seed + l_v * 0x9E3779B97F4A7C15) % 2**64)
+    return {
+        l_v: optimize_unitary(
+            PackingConfig(K=K, cardinality=2**l_v, seed=(seed + l_v * 0x9E3779B97F4A7C15) % 2**64)
+        )
         for l_v in l_vs
-    ]
-    return dict(zip(l_vs, _pack(cfgs)))
+    }

@@ -98,6 +98,18 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="unitary_library_1"):
             parse_config(path, "design")
 
+    def test_library_keys_naming_one_size_rejected(self, tmp_path, capsys):
+        book = tmp_path / "book.txt"
+        book.write_text("2 2\n1 0 0 0\n0 0 1 0\n")
+        for other in ("unitary_library_01", "unitary_library_+1"):
+            path = write_config(tmp_path, K=2, l_s=1, snr_db_list="0", seed=1,
+                                output_path=tmp_path / "x.csv", unitary_library_1=book,
+                                **{other: book})
+            assert main(["design", "--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert f"fields 'unitary_library_1' and '{other}' both name l_v = 1" in err
+            assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize("flag", ["--seed", "--out"])
     def test_config_values_have_no_command_line_flag(self, tmp_path, design_cfg,
                                                      flag):
@@ -361,13 +373,13 @@ class TestLazyLibrary:
     @pytest.fixture()
     def pack_calls(self, monkeypatch):
         calls = []
-        real = klconst.unitary._pack
+        real = klconst.unitary.optimize_unitary
 
-        def counting(cfgs):
-            calls.extend(cfg.cardinality for cfg in cfgs)
-            return real(cfgs)
+        def counting(cfg):
+            calls.append(cfg.cardinality)
+            return real(cfg)
 
-        monkeypatch.setattr(klconst.unitary, "_pack", counting)
+        monkeypatch.setattr(klconst.unitary, "optimize_unitary", counting)
         return calls
 
     def test_supplied_sizes_are_not_packed(self, tmp_path, pack_calls):

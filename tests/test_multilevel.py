@@ -432,3 +432,8 @@ class TestGridCalls:
         with pytest.raises(ArithmeticError) as grid:
             allocate_bits(6, [good, bad, good], lib)
         assert type(grid.value) is type(alone.value)
+
+    def test_empty_grid_rejected(self, library_k2_ls2):
+        for empty in ([], np.array([])):
+            with pytest.raises(ValueError, match="sigma2 grid is empty"):
+                allocate_bits(2, empty, library_k2_ls2)

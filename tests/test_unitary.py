@@ -29,7 +29,7 @@ from klconst.unitary import (
     _bloch_layout,
     _climb,
     _haar_su2,
-    _pack,
+    _sphere_layout,
     _starts,
 )
 
@@ -129,6 +129,10 @@ class TestOptimizeUnitary:
             PackingConfig(K=2, cardinality=3)
         with pytest.raises(ValueError):
             PackingConfig(K=2, cardinality=4, restarts=0)
+        for field in ("K", "cardinality", "restarts", "iterations"):
+            fields = {"K": 2, "cardinality": 4, "restarts": 1, "iterations": 10, field: 2.5}
+            with pytest.raises(ValueError, match=f"{field} must be a positive integer"):
+                PackingConfig(**fields)
         for seed in (1.5, -1, 2**64):
             with pytest.raises(ValueError, match="seed"):
                 PackingConfig(K=2, cardinality=4, seed=seed)
@@ -178,9 +182,9 @@ class TestBlochPacking:
 
 
 def turned_lattice(seeds, N):
-    """Restart 0's K = 2 start when the lattice is climbed: its turn of the
-    bare Fibonacci lattice for each seed, as a (len(seeds), N, 2) stack."""
-    starts = np.stack([_bloch_layout(N) @ _haar_su2(_stream(s, 0)).T for s in seeds])
+    """Restart 0's turn of the bare Fibonacci lattice of N lines for each
+    seed, as a (len(seeds), N, 2) stack."""
+    starts = np.stack([_sphere_layout(N) @ _haar_su2(_stream(s, 0)).T for s in seeds])
     return starts / np.linalg.norm(starts, axis=2, keepdims=True)
 
 
@@ -188,8 +192,8 @@ class TestBlochTable:
     def test_table_is_the_climbed_lattice(self):
         assert tuple(sorted(LAYOUTS)) == _BLOCH_CLIMBED
         for N in _BLOCH_CLIMBED:
-            fresh = _climb(_bloch_layout(N)[None], DEFAULT_ITERATIONS)[0]
-            np.testing.assert_allclose(_bloch_layout(N, climbed=True), fresh, rtol=0, atol=1e-12)
+            fresh = _climb(_sphere_layout(N)[None], DEFAULT_ITERATIONS)[0]
+            np.testing.assert_allclose(_bloch_layout(N), fresh, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("N", _BLOCH_CLIMBED)
     def test_turned_table_equals_the_climb_of_the_turned_lattice(self, N):
@@ -204,15 +208,16 @@ class TestBlochTable:
 
     def test_other_iterations_climb_as_before(self):
         for s in (0, 7):
-            cfg = PackingConfig(K=2, cardinality=16, iterations=200, seed=s)
-            expected = _climb(turned_lattice([s], 16), 200)[0]
+            cfg = PackingConfig(K=2, cardinality=128, iterations=200, seed=s)
+            expected = _climb(turned_lattice([s], 128), 200)[0]
             assert optimize_unitary(cfg).vectors.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("N,restarts,iterations,climbed", [
         (16, 1, DEFAULT_ITERATIONS, False), (64, 1, DEFAULT_ITERATIONS, False),
-        (16, 1, 200, True), (128, 1, DEFAULT_ITERATIONS, True),
-        # equal-scoring turns: rounding picks the winner, so they climb
-        (32, 3, DEFAULT_ITERATIONS, True),
+        # a layout up to N = 64 is final whatever restarts and iterations say
+        (16, 1, 200, False), (32, 3, DEFAULT_ITERATIONS, False),
+        # from N = 128 up K = 2 climbs, with the knobs given
+        (128, 1, DEFAULT_ITERATIONS, True), (128, 3, 200, True),
     ])
     def test_climbs_only_off_the_table(self, monkeypatch, N, restarts, iterations, climbed):
         calls = []
@@ -272,12 +277,8 @@ PACKING_FLOOR = {
 class TestPackingFloor:
     @pytest.mark.parametrize("K", [2, 3, 4])
     def test_median_over_seeds_meets_the_floor(self, K):
-        sizes = sorted(N for k, N in PACKING_FLOOR if k == K)
-        seeds = range(5)
-        # one packing run for all sizes and seeds, as library_codebooks packs
-        out = _pack([PackingConfig(K=K, cardinality=N, seed=s) for N in sizes for s in seeds])
-        for j, N in enumerate(sizes):
-            sets = out[j * len(seeds):(j + 1) * len(seeds)]
+        for N in sorted(N for k, N in PACKING_FLOOR if k == K):
+            sets = [optimize_unitary(PackingConfig(K=K, cardinality=N, seed=s)) for s in range(5)]
             median = float(np.median([u.min_sq_dist for u in sets]))
             assert median >= PACKING_FLOOR[K, N] * (1.0 - 1e-9), (K, N)
             if K == 2:
