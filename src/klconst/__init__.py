@@ -46,12 +46,11 @@ from .multilevel import (
 )
 from .unitary import (
     PackingConfig,
-    fejes_toth_limit,
     library_codebooks,
     load_unitary,
     optimize_unitary,
+    packing_limit,
     save_unitary,
-    welch_limit,
 )
 
 __version__ = "0.1.0"
@@ -77,7 +76,6 @@ __all__ = [
     "detect_two_stage",
     "energy_only_levels",
     "estimate_ser",
-    "fejes_toth_limit",
     "gram",
     "kl_full",
     "kl_mc_estimate",
@@ -86,6 +84,7 @@ __all__ = [
     "load_unitary",
     "min_kl_bruteforce",
     "optimize_unitary",
+    "packing_limit",
     "pairwise_kl_matrix",
     "pilot_qam_run",
     "save_constellation",
@@ -93,7 +92,6 @@ __all__ = [
     "simulate_block",
     "solve_bisection",
     "square_qam_alphabet",
-    "welch_limit",
     "wilson_interval",
     "__version__",
 ]

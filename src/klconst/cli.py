@@ -64,12 +64,13 @@ from .linksim import (
 from .multilevel import ALLOCATION_CSV_HEADER, allocate_bits
 from .unitary import (
     DEFAULT_ITERATIONS,
+    DEFAULT_RESTARTS,
     PackingConfig,
     library_codebooks,
     load_unitary,
     optimize_unitary,
+    packing_limit,
     save_unitary,
-    welch_limit,
 )
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "run", "main"]
@@ -102,7 +103,7 @@ class ExperimentConfig:
     unitary_library_paths: dict = field(default_factory=dict)
     schemes: tuple = SCHEMES
     pairs: int = 20
-    restarts: int | None = None  # the PackingConfig default for K
+    restarts: int = DEFAULT_RESTARTS
     iterations: int = DEFAULT_ITERATIONS
 
 
@@ -304,6 +305,10 @@ def _build_library(cfg, sizes):
                 f"field '{_LIBRARY_KEY}{l_v}': codebook holds {uset.size} "
                 f"vectors, expected {2 ** l_v}"
             )
+        if uset.min_sq_dist == 0.0:
+            raise ConfigError(
+                f"field '{_LIBRARY_KEY}{l_v}': codebook repeats a direction (min_sq_dist 0)"
+            )
         lib[l_v] = uset
     lib.update(
         library_codebooks(cfg.K, [l_v for l_v in sizes if l_v not in lib], seed=cfg.seed)
@@ -426,7 +431,7 @@ def run_pack_unitary(cfg):
     print(
         f"packed {uset.size} directions in K={uset.K}: "
         f"min_sq_dist={_g(uset.min_sq_dist)}, "
-        f"welch_limit={_g(welch_limit(uset.K, uset.size))}"
+        f"packing_limit={_g(packing_limit(uset.K, uset.size))}"
     )
     return 0
 

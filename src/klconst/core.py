@@ -43,6 +43,7 @@ __all__ = [
     "canonical_direction",
     "kl_full",
     "min_kl_bruteforce",
+    "pairwise_kl_matrix",
     "save_constellation",
     "load_constellation",
 ]

@@ -116,18 +116,17 @@ class AllocationRow:
     """One candidate bit split and its achieved objective.
 
     r0 is None for the all-direction split (l_alpha = 0), which has a
-    single level at amplitude 1 and no ratio.
+    single level at amplitude 1 and no ratio, so its alpha0 is 1.
     """
 
     l_alpha: int
     min_kl: float
     r0: float | None
-    alpha0: float | None
+    alpha0: float
 
     def csv(self):
         r = "" if self.r0 is None else f"{self.r0:.12g}"
-        a = "" if self.alpha0 is None else f"{self.alpha0:.12g}"
-        return f"{self.l_alpha},{self.min_kl:.12g},{r},{a}"
+        return f"{self.l_alpha},{self.min_kl:.12g},{r},{self.alpha0:.12g}"
 
 
 @dataclass(frozen=True)

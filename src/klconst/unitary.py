@@ -21,14 +21,14 @@ at N = 8 (the Tammes optimum, t = 2/(4 + sqrt 2)), since a climb only
 moves them off the optimum, and at N = 16, 32 and 64 the spherical
 Fibonacci lattice (Gonzalez, Math. Geosci. 2010) already climbed at the
 default iterations, tabulated in _bloch_climbed.  From N = 128 up the bare
-lattice is climbed.  Restart r at K = 2 turns the layout by a Haar-random
-SU(2) rotation drawn from the seed's stream r; a rotation keeps every
-distance, so all restarts score the same up to rounding, K = 2 defaults to
-one restart, and the seed only picks the orientation of the codebook
-(still one codebook per seed).  The climb commutes with that turn (C =
-V V^H, the weights and the step all do), so a turned table matches a climb
-of the turned lattice to about 1e-14.  restarts and iterations do not
-change a final layout.
+lattice is climbed.  A K = 2 codebook turns the layout by one Haar-random
+SU(2) rotation drawn from the seed's stream 0.  A rotation keeps every
+distance, so further turns could only tie up to rounding: K = 2 packs one
+start whatever restarts says, and the seed only picks the orientation of
+the codebook.  The climb commutes with that turn (C = V V^H, the weights
+and the step all do), so a turned table matches a climb of the turned
+lattice to about 1e-14.  Up to N = 64, restarts and iterations leave a
+K = 2 codebook as the defaults write it.
 
 The restarts of one packing climb together as (R, N, K) stacks, one numpy
 call per step for all of them, and each stack bounds its per-step (R, N, N)
@@ -59,8 +59,7 @@ from .linksim import _check_seed, _stream
 
 __all__ = [
     "PackingConfig",
-    "welch_limit",
-    "fejes_toth_limit",
+    "packing_limit",
     "optimize_unitary",
     "save_unitary",
     "load_unitary",
@@ -90,22 +89,19 @@ class PackingConfig:
     """Knobs of one packing run.
 
     K, cardinality (a power of two), restarts and iterations are positive
-    integers; restarts left at None becomes 1 at K = 2 and
-    DEFAULT_RESTARTS otherwise.  At K = 2 every restart turns one layout,
-    which scores the same up to rounding, so restarts > 1 only repeats it.
+    integers.  restarts counts random starts, so once validated it is
+    recorded as 1 at K = 2, whose one start is a turn of a fixed layout.
     seed, a 64-bit unsigned integer, keys the counter-based restart
     streams, so a config is fully reproducible.
     """
 
     K: int
     cardinality: int
-    restarts: int | None = None
+    restarts: int = DEFAULT_RESTARTS
     iterations: int = DEFAULT_ITERATIONS
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts is None:
-            object.__setattr__(self, "restarts", 1 if self.K == 2 else DEFAULT_RESTARTS)
         for name in ("K", "cardinality", "restarts", "iterations"):
             value = getattr(self, name)
             if int(value) != value or value < 1:
@@ -113,36 +109,29 @@ class PackingConfig:
             object.__setattr__(self, name, int(value))
         _pow2_bits(self.cardinality, "cardinality")
         _check_seed(self.seed)
+        if self.K == 2:
+            object.__setattr__(self, "restarts", 1)
 
 
-def welch_limit(K, N):
-    """Upper bound on the achievable min squared chordal distance.
+def packing_limit(K, N):
+    """Upper bound on the min squared chordal distance of N lines in C^K.
 
-    For N unit vectors in C^K the maximal squared correlation is at least
-    (N - K)/(K (N - 1)) (Welch), so t <= 1 - (N - K)/(K (N - 1)); when
-    N <= K an orthonormal set attains t = 1.
+    N <= K lines attain t = 1 (an orthonormal set).  Otherwise the maximal
+    squared correlation is at least (N - K)/(K (N - 1)) (Welch), so
+    t <= 1 - (N - K)/(K (N - 1)).  At K = 2, t = d^2 / 4 through the Bloch
+    map for the least chord d between N points on the unit sphere, and
+    Fejes Toth (1943) bounds d^2 <= 4 - csc^2(w), w = pi N / (6 (N - 2));
+    the lesser bound is returned, Fejes Toth's from N = 5 up (exact at
+    N = 3, 4, 6 and 12).
     """
     if K < 1 or N < 1:
         raise ValueError("K and N must be >= 1")
     if N <= K:
         return 1.0
-    return 1.0 - (N - K) / (K * (N - 1))
-
-
-def fejes_toth_limit(N):
-    """Upper bound on the min squared chordal distance of N lines in C^2.
-
-    Through the Bloch map t = d^2 / 4 for the least chord d between N points
-    on the unit sphere, and Fejes Toth (1943) bounds d^2 <= 4 - csc^2(w),
-    w = pi N / (6 (N - 2)), so t <= 1 - csc^2(w) / 4; exact at N = 3, 4,
-    6 and 12, and below welch_limit(2, N) from N = 5 up.  N <= 2 lines
-    attain t = 1.
-    """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if N <= 2:
-        return 1.0
-    return 1.0 - 0.25 / math.sin(math.pi * N / (6 * (N - 2))) ** 2
+    welch = 1.0 - (N - K) / (K * (N - 1))
+    if K != 2:
+        return welch
+    return min(welch, 1.0 - 0.25 / math.sin(math.pi * N / (6 * (N - 2))) ** 2)
 
 
 def _sphere_layout(n):
@@ -173,8 +162,8 @@ def _sphere_layout(n):
 
 
 def _bloch_layout(n):
-    """The K = 2 layout of n lines that restarts turn: final up to n = 64,
-    the start of a climb above.
+    """The K = 2 layout of n lines that a codebook turns: final up to
+    n = 64, the start of a climb above.
 
     The n of _BLOCH_CLIMBED give their lattice climbed at
     DEFAULT_ITERATIONS, read from the table (imported on first use); every
@@ -198,8 +187,8 @@ def _haar_su2(rng):
 def _starts(cfg):
     """The (restarts, N, K) starts of a config, restart r from stream (seed, r).
 
-    At K = 2 restart r is _bloch_layout turned by a Haar SU(2) rotation;
-    otherwise it draws complex normals.  Rows are unit norm.
+    At K = 2 the one restart is _bloch_layout turned by a Haar SU(2)
+    rotation; otherwise each draws complex normals.  Rows are unit norm.
     """
     n, K = cfg.cardinality, cfg.K
     streams = [_stream(cfg.seed, r) for r in range(cfg.restarts)]
@@ -254,9 +243,9 @@ def _climb(V, iterations):
 def optimize_unitary(cfg):
     """Best packing over the cfg.restarts starts of :func:`_starts`.
 
-    N = 1 is the canonical single vector.  At K = 2 up to N = 64 the starts
-    are turns of a final layout (see the module docstring), scored as they
-    are; every other config climbs its starts in stacks of at most
+    N = 1 is the canonical single vector.  At K = 2 up to N = 64 the one
+    start is a turn of a final layout (see the module docstring), returned
+    as it is; every other config climbs its starts in stacks of at most
     max(1, _CHUNK_ENTRIES // N^2) restarts.  Equal exact scores keep the
     earliest restart's set, so the result does not depend on the stacking.
     The returned UnitarySet carries the exact recomputed distance.

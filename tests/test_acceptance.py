@@ -30,10 +30,10 @@ from klconst import (
     kl_mc_estimate,
     min_kl_bruteforce,
     optimize_unitary,
+    packing_limit,
     pairwise_kl_matrix,
     pilot_qam_run,
     solve_bisection,
-    welch_limit,
 )
 from klconst.core import _kl_energy
 from test_multilevel import design_objective, grid_oracle_ratio, two_direction_set
@@ -223,10 +223,10 @@ def test_06_packing_quality_and_welch_bound(capsys):
         for N in (2, 4, 8, 16, 32, 64):
             cfg = PackingConfig(K=K, cardinality=N, restarts=2, iterations=250, seed=0)
             t = optimize_unitary(cfg).min_sq_dist
-            worst_excess = max(worst_excess, t - welch_limit(K, N))
+            worst_excess = max(worst_excess, t - packing_limit(K, N))
     ok = quality and worst_excess <= 1e-12
     announce(
-        capsys, 6, "packing quality and Welch bound", ok,
+        capsys, 6, "packing quality and packing bound", ok,
         f"t(2,2) {t2:.6f}, t(2,4) {t4:.6f} (floor {0.95 * 2 / 3:.4f}); "
         f"worst excess over the bound {worst_excess:+.1e} for K<=4, N in 2..64",
     )

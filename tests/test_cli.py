@@ -15,7 +15,7 @@ import pytest
 import klconst.cli
 import klconst.core
 import klconst.unitary
-from klconst import library_codebooks, load_constellation, load_unitary, welch_limit
+from klconst import library_codebooks, load_constellation, load_unitary, packing_limit
 from klconst.cli import ConfigError, _build_library, main, parse_config
 
 
@@ -222,13 +222,12 @@ class TestFieldsPerMode:
             parse_config(cfg, "design")
 
     def test_pack_unitary_knobs_default_to_the_packer_defaults(self, tmp_path):
-        # K = 2 restarts only turn one Bloch-sphere layout, so it defaults to one
-        for K, restarts in ((2, 1), (3, klconst.unitary.DEFAULT_RESTARTS)):
+        for K in (2, 3):
             bare = write_config(tmp_path, f"bare{K}.cfg", K=K, l_s=1, seed=4,
                                 output_path=tmp_path / f"bare{K}.txt")
             explicit = write_config(
                 tmp_path, f"explicit{K}.cfg", K=K, l_s=1, seed=4,
-                restarts=restarts,
+                restarts=klconst.unitary.DEFAULT_RESTARTS,
                 iterations=klconst.unitary.DEFAULT_ITERATIONS,
                 output_path=tmp_path / f"explicit{K}.txt",
             )
@@ -413,6 +412,22 @@ class TestLazyLibrary:
         np.testing.assert_array_equal(lib[0].vectors, reference[0].vectors)
         np.testing.assert_array_equal(lib[1].vectors, np.eye(2))
 
+    @pytest.mark.parametrize("l_s", [1, 2])
+    def test_repeated_direction_exits_2(self, tmp_path, capsys, pack_calls, l_s):
+        # as the l_v = l_s book (l_s = 1) or inside a split (l_s = 2), a
+        # codebook with two equal lines is a config problem, found before
+        # any packing and before any output
+        book = tmp_path / "u1.txt"
+        book.write_text("2 2\n1 0 0 0\n1 0 0 0\n")
+        cfg = write_config(tmp_path, K=2, l_s=l_s, snr_db_list="0", seed=1,
+                           output_path=tmp_path / "d.csv", unitary_library_1=book)
+        assert main(["design", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "'unitary_library_1'" in err
+        assert "repeats a direction" in err
+        assert pack_calls == []
+        assert not (tmp_path / "d.csv").exists()
+
     def test_bad_file_is_rejected_before_packing(self, tmp_path, pack_calls):
         book = tmp_path / "u3.txt"
         book.write_text("2 1\n1 0 0 0\n")
@@ -581,7 +596,7 @@ class TestPackUnitaryMode:
         assert main(["pack-unitary", "--config", str(cfg)]) == 0
         book = load_unitary(tmp_path / "book.txt")
         assert book.size == 4 and book.K == 2
-        assert 0.0 < book.min_sq_dist <= welch_limit(2, 4) + 1e-12
+        assert 0.0 < book.min_sq_dist <= packing_limit(2, 4) + 1e-12
 
     def test_creates_the_output_directory(self, tmp_path):
         cfg = write_config(

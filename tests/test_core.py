@@ -71,6 +71,11 @@ def test_package_exports_every_public_attribute():
     }
     assert set(klconst.__all__) == public | {"__version__"}
     assert len(klconst.__all__) == len(set(klconst.__all__))
+    # every export is named by the __all__ of the library module defining it
+    modules = (klconst.core, klconst.detection, klconst.linksim, klconst.multilevel,
+               klconst.unitary)
+    named = set().union(*(m.__all__ for m in modules))
+    assert named == set(klconst.__all__) - {"__version__"}
 
 
 @pytest.fixture()

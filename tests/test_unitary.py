@@ -1,4 +1,4 @@
-"""Direction packing: chordal distances, Welch bound, optimizer, files."""
+"""Direction packing: chordal distances, packing bound, optimizer, files."""
 
 import math
 import os
@@ -14,12 +14,11 @@ from klconst import (
     FileFormatError,
     PackingConfig,
     UnitarySet,
-    fejes_toth_limit,
     library_codebooks,
     load_unitary,
     optimize_unitary,
+    packing_limit,
     save_unitary,
-    welch_limit,
 )
 from klconst._bloch_climbed import LAYOUTS
 from klconst.linksim import _stream
@@ -72,12 +71,15 @@ class TestMinSqChordal:
 
 
 class TestWelchLimit:
+    """packing_limit is 1 up to N = K and the Welch bound above, at K = 2
+    only while Fejes Toth does not bind (N <= 4)."""
+
     @pytest.mark.parametrize(
         "K,N,expected",
-        [(2, 2, 1.0), (2, 4, 2.0 / 3.0), (3, 2, 1.0), (2, 64, 1.0 - 62.0 / 126.0)],
+        [(2, 2, 1.0), (2, 4, 2.0 / 3.0), (3, 2, 1.0), (3, 64, 1.0 - 61.0 / 189.0)],
     )
     def test_examples(self, K, N, expected):
-        assert welch_limit(K, N) == pytest.approx(expected, abs=1e-15)
+        assert packing_limit(K, N) == pytest.approx(expected, abs=1e-15)
 
     def test_random_sets_respect_the_bound(self, rng):
         for _ in range(30):
@@ -85,7 +87,7 @@ class TestWelchLimit:
             N = 2 ** int(rng.integers(1, 5))
             raw = rng.standard_normal((N, K)) + 1j * rng.standard_normal((N, K))
             V = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-            assert UnitarySet(V).min_sq_dist <= welch_limit(K, N) + 1e-12
+            assert UnitarySet(V).min_sq_dist <= packing_limit(K, N) + 1e-12
 
 
 class TestOptimizeUnitary:
@@ -122,7 +124,7 @@ class TestOptimizeUnitary:
         for K, N in [(2, 4), (3, 8), (4, 16)]:
             cfg = PackingConfig(K=K, cardinality=N, restarts=2, iterations=200, seed=1)
             out = optimize_unitary(cfg)
-            assert out.min_sq_dist <= welch_limit(K, N) + 1e-12
+            assert out.min_sq_dist <= packing_limit(K, N) + 1e-12
 
     def test_rejects_bad_configs(self):
         with pytest.raises(ValueError):
@@ -142,12 +144,13 @@ class TestBlochPacking:
     def test_fejes_toth_examples(self):
         # exact for a great-circle triangle, the tetrahedron and the
         # icosahedron (neighbours at cos = 1/sqrt 5)
-        assert fejes_toth_limit(2) == 1.0
-        assert fejes_toth_limit(3) == pytest.approx(0.75, abs=1e-15)
-        assert fejes_toth_limit(4) == pytest.approx(2.0 / 3.0, abs=1e-15)
-        assert fejes_toth_limit(12) == pytest.approx((1 - 1 / math.sqrt(5)) / 2, abs=1e-15)
+        assert packing_limit(2, 2) == 1.0
+        assert packing_limit(2, 3) == pytest.approx(0.75, abs=1e-15)
+        assert packing_limit(2, 4) == pytest.approx(2.0 / 3.0, abs=1e-15)
+        assert packing_limit(2, 12) == pytest.approx((1 - 1 / math.sqrt(5)) / 2, abs=1e-15)
+        # Fejes Toth binds below Welch from N = 5 up
         for N in range(5, 65):
-            assert fejes_toth_limit(N) < welch_limit(2, N)
+            assert packing_limit(2, N) < 1.0 - (N - 2) / (2 * (N - 1))
 
     def test_closed_forms_reach_their_optima(self):
         antiprism = 2.0 / (4.0 + math.sqrt(2.0))  # 0.3693980625...
@@ -165,20 +168,37 @@ class TestBlochPacking:
         for N in (2, 4, 8):
             optimize_unitary(PackingConfig(K=2, cardinality=N, restarts=3, seed=5))
 
-    def test_restarts_turn_one_layout(self):
-        # every restart has the same |Gram| matrix; the seed picks the turn
-        starts = _starts(PackingConfig(K=2, cardinality=16, restarts=3, seed=1))
+    def test_seeds_turn_one_layout(self):
+        # every seed's one start has the same |Gram| matrix; the seed picks
+        # the turn
+        starts = np.concatenate([
+            _starts(PackingConfig(K=2, cardinality=16, seed=s)) for s in (1, 2, 3)
+        ])
+        assert starts.shape == (3, 16, 2)
         gram = np.abs(starts @ starts.conj().transpose(0, 2, 1))
         for r in (1, 2):
             np.testing.assert_allclose(gram[r], gram[0], rtol=0, atol=1e-14)
             assert not np.allclose(starts[r], starts[0])
-        other = _starts(PackingConfig(K=2, cardinality=16, restarts=1, seed=2))
-        assert not np.allclose(other[0], starts[0])
 
     def test_restarts_default_by_K(self):
+        # restarts counts random starts: K = 2 records its one turned layout
         assert PackingConfig(K=2, cardinality=4).restarts == 1
+        assert PackingConfig(K=2, cardinality=4, restarts=5).restarts == 1
         assert PackingConfig(K=3, cardinality=4).restarts == klconst.unitary.DEFAULT_RESTARTS
-        assert PackingConfig(K=2, cardinality=4, restarts=5).restarts == 5
+        assert PackingConfig(K=3, cardinality=4, restarts=5).restarts == 5
+
+    @pytest.mark.parametrize(
+        "N,iterations", [(N, DEFAULT_ITERATIONS) for N in (2, 4, 8, 16, 32, 64)] + [(128, 20)]
+    )
+    def test_restarts_leave_a_codebook_as_it_is(self, N, iterations):
+        for seed in range(60):
+            books = [
+                optimize_unitary(PackingConfig(
+                    K=2, cardinality=N, restarts=restarts, iterations=iterations, seed=seed
+                ))
+                for restarts in (1, 3)
+            ]
+            assert books[0].vectors.tobytes() == books[1].vectors.tobytes(), seed
 
 
 def turned_lattice(seeds, N):
@@ -216,7 +236,7 @@ class TestBlochTable:
         (16, 1, DEFAULT_ITERATIONS, False), (64, 1, DEFAULT_ITERATIONS, False),
         # a layout up to N = 64 is final whatever restarts and iterations say
         (16, 1, 200, False), (32, 3, DEFAULT_ITERATIONS, False),
-        # from N = 128 up K = 2 climbs, with the knobs given
+        # from N = 128 up K = 2 climbs its one start, with the iterations given
         (128, 1, DEFAULT_ITERATIONS, True), (128, 3, 200, True),
     ])
     def test_climbs_only_off_the_table(self, monkeypatch, N, restarts, iterations, climbed):
@@ -229,7 +249,7 @@ class TestBlochTable:
         monkeypatch.setattr(klconst.unitary, "_climb", recording)
         cfg = PackingConfig(K=2, cardinality=N, restarts=restarts, iterations=iterations, seed=3)
         optimize_unitary(cfg)
-        assert calls == ([(restarts, iterations)] if climbed else [])
+        assert calls == ([(1, iterations)] if climbed else [])
 
     def test_table_is_imported_only_by_a_k2_packing(self):
         script = (
@@ -274,6 +294,27 @@ PACKING_FLOOR = {
 }
 
 
+# packing_limit on each floor cell: Welch at K >= 3 and at K = 2, N = 4;
+# Fejes Toth at K = 2 from N = 8 up.
+PACKING_LIMIT = {
+    (2, 4): 0.6666666666666666,
+    (2, 8): 0.3949308436346983,
+    (2, 16): 0.21217532691343366,
+    (2, 32): 0.1097323487897397,
+    (2, 64): 0.055774493097943356,
+    (3, 4): 0.8888888888888888,
+    (3, 8): 0.7619047619047619,
+    (3, 16): 0.7111111111111111,
+    (3, 32): 0.6881720430107527,
+    (3, 64): 0.6772486772486772,
+    (4, 4): 1.0,
+    (4, 8): 0.8571428571428572,
+    (4, 16): 0.8,
+    (4, 32): 0.7741935483870968,
+    (4, 64): 0.7619047619047619,
+}
+
+
 class TestPackingFloor:
     @pytest.mark.parametrize("K", [2, 3, 4])
     def test_median_over_seeds_meets_the_floor(self, K):
@@ -281,9 +322,14 @@ class TestPackingFloor:
             sets = [optimize_unitary(PackingConfig(K=K, cardinality=N, seed=s)) for s in range(5)]
             median = float(np.median([u.min_sq_dist for u in sets]))
             assert median >= PACKING_FLOOR[K, N] * (1.0 - 1e-9), (K, N)
-            if K == 2:
-                for u in sets:
-                    assert u.min_sq_dist <= fejes_toth_limit(N) + 1e-12, N
+            for u in sets:
+                assert u.min_sq_dist <= packing_limit(K, N) + 1e-12, (K, N)
+
+    def test_packing_limit_caps_every_floor_cell(self):
+        assert PACKING_LIMIT.keys() == PACKING_FLOOR.keys()
+        for cell, limit in PACKING_LIMIT.items():
+            assert packing_limit(*cell) == pytest.approx(limit, rel=1e-15, abs=0), cell
+            assert PACKING_FLOOR[cell] <= limit, cell
 
 
 def restart_start(seed, restart, n, K):
