@@ -53,14 +53,7 @@ from .core import (
     kl_full,
     save_constellation,
 )
-from .linksim import (
-    RESULT_CSV_HEADER,
-    PilotQamScheme,
-    _stream,
-    estimate_ser,
-    kl_mc_estimate,
-    pilot_qam_run,
-)
+from .linksim import PilotQamScheme, _streams, estimate_ser, kl_mc_estimate, pilot_qam_run
 from .multilevel import ALLOCATION_CSV_HEADER, allocate_bits
 from .unitary import (
     DEFAULT_ITERATIONS,
@@ -79,6 +72,7 @@ MODES = ("design", "ser-sweep", "kl-check", "pack-unitary")
 SCHEMES = ("multilevel", "unitary", "pilot-qam")
 
 DESIGN_CSV_HEADER = "snr_db," + ALLOCATION_CSV_HEADER
+RESULT_CSV_HEADER = "scheme,K,M,l_s,l_alpha,snr_db,ser,ci_low,ci_high,trials,seed"
 KL_CSV_HEADER = "pair,K,M,snr_db,kl_closed,kl_mc,std_error,z_score,samples,seed"
 
 _LIBRARY_KEY = "unitary_library_"
@@ -391,7 +385,7 @@ def run_ser_sweep(cfg):
 
 
 def run_kl_check(cfg):
-    pair_rng = _stream(cfg.seed, 1 << 63)
+    (pair_rng,) = _streams(cfg.seed, [1 << 63])
     lines = [KL_CSV_HEADER]
     for snr_db in cfg.snr_db_list:
         params = ChannelParams.from_snr_db(cfg.M, cfg.K, snr_db)

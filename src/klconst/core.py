@@ -84,6 +84,15 @@ def _sigma2_at(K, snr_db):
     return 1.0 / (K * 10.0 ** (snr_db / 10.0))
 
 
+def _count(value, name, low=1):
+    """value as an int, for an integer value >= low; an integral float such
+    as np.float64(4096) passes.  Otherwise a ValueError gives its name."""
+    if not math.isfinite(value) or int(value) != value or value < low:
+        what = "a positive integer" if low == 1 else f"an integer >= {low}"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return int(value)
+
+
 def _pow2_bits(n, what):
     if n < 1 or (n & (n - 1)) != 0:
         raise ValueError(f"{what} must be a power of two, got {n}")
@@ -93,9 +102,7 @@ def _pow2_bits(n, what):
 def canonical_direction(K):
     """First standard basis vector of C^K, the fixed direction used by
     single-direction (energy-only) constellations."""
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
-    e0 = np.zeros(K, dtype=complex)
+    e0 = np.zeros(_count(K, "K"), dtype=complex)
     e0[0] = 1.0
     e0.flags.writeable = False
     return e0
@@ -128,12 +135,8 @@ class ChannelParams:
     sigma2: float
 
     def __post_init__(self):
-        if int(self.M) != self.M or self.M < 1:
-            raise ValueError(f"M must be a positive integer, got {self.M!r}")
-        if int(self.K) != self.K or self.K < 1:
-            raise ValueError(f"K must be a positive integer, got {self.K!r}")
-        object.__setattr__(self, "M", int(self.M))
-        object.__setattr__(self, "K", int(self.K))
+        object.__setattr__(self, "M", _count(self.M, "M"))
+        object.__setattr__(self, "K", _count(self.K, "K"))
         object.__setattr__(self, "sigma2", _check_sigma2(self.sigma2))
 
     @property

@@ -63,7 +63,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _CHUNK_ENTRIES, ChannelParams, MultiLevelConstellation, SignalPoint
+from .core import (
+    _CHUNK_ENTRIES,
+    ChannelParams,
+    MultiLevelConstellation,
+    SignalPoint,
+    _count,
+)
 from .detection import _score_weights, _two_stage_gram, gram
 
 __all__ = [
@@ -85,9 +91,6 @@ SUBSTREAM_TRIALS = 2048
 # two-sided 95% normal quantile
 Z95 = 1.959963984540054
 
-RESULT_CSV_HEADER = "scheme,K,M,l_s,l_alpha,snr_db,ser,ci_low,ci_high,trials,seed"
-
-
 @dataclass(frozen=True)
 class SerEstimate:
     """Block error count over a number of trials; the rate ser =
@@ -99,7 +102,9 @@ class SerEstimate:
     seed: int
 
     def __post_init__(self):
-        wilson_interval(self.errors, self.trials)  # checks the counts
+        for name, low in (("trials", 1), ("errors", 0)):
+            object.__setattr__(self, name, _count(getattr(self, name), name, low))
+        wilson_interval(self.errors, self.trials)  # checks errors <= trials
 
     @property
     def ser(self):
@@ -137,14 +142,8 @@ class PilotQamScheme:
     total_bits: int
 
     def __post_init__(self):
-        if int(self.K) != self.K or self.K < 2:
-            raise ValueError(f"K must be an integer >= 2, got {self.K!r}")
-        if int(self.total_bits) != self.total_bits or self.total_bits < 1:
-            raise ValueError(
-                f"total_bits must be a positive integer, got {self.total_bits!r}"
-            )
-        object.__setattr__(self, "K", int(self.K))
-        object.__setattr__(self, "total_bits", int(self.total_bits))
+        object.__setattr__(self, "K", _count(self.K, "K", low=2))
+        object.__setattr__(self, "total_bits", _count(self.total_bits, "total_bits"))
         if self.total_bits % (self.K - 1):
             raise ValueError(
                 f"invalid alphabet size: {self.total_bits} bits do not split "
@@ -175,31 +174,28 @@ class PilotQamScheme:
 # ---------------------------------------------------------------------------
 
 
-def _stream(seed, substream):
-    key = np.array([seed, substream], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _streams(seed, keys):
+    """The Philox stream keyed (seed, k) for each k of keys in turn.
+
+    Yields one Generator per call, whose Philox is re-keyed before each k,
+    with a zero counter and empty buffers, so it draws what a Generator on
+    a fresh Philox with the uint64 key (seed, k) draws; a fresh Philox
+    would also build, and discard, a SeedSequence from OS entropy.  Draw
+    from each stream before taking the next.
+    """
+    rng = np.random.Generator(np.random.Philox(key=0))
+    state = rng.bit_generator.state
+    for k in keys:
+        state["state"]["key"][:] = seed, k
+        rng.bit_generator.state = state
+        yield rng
 
 
 def _substreams(trials):
+    """Trial counts of the substreams of trials; substream b, keyed
+    (seed, b), holds the b-th."""
     full, rem = divmod(trials, SUBSTREAM_TRIALS)
-    for b in range(full):
-        yield b, SUBSTREAM_TRIALS
-    if rem:
-        yield full, rem
-
-
-def _substream_rngs(seed, trials):
-    """(rng, n) for each substream of trials, in order.  rng is one
-    Generator whose Philox is re-keyed to (seed, b), with a zero counter and
-    empty buffers, before substream b, so it draws what _stream(seed, b)
-    draws; a new Philox per substream would also build, and discard, a
-    SeedSequence from OS entropy."""
-    rng = _stream(seed, 0)
-    state = rng.bit_generator.state
-    for b, n in _substreams(trials):
-        state["state"]["key"][1] = b
-        rng.bit_generator.state = state
-        yield rng, n
+    return [SUBSTREAM_TRIALS] * full + ([rem] if rem else [])
 
 
 def _complex_normal(rng, shape, scale=1.0):
@@ -218,9 +214,9 @@ def wilson_interval(errors, trials):
 
     Returns (low, high), both in [0, 1].
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials!r}")
-    if not 0 <= errors <= trials:
+    trials = _count(trials, "trials")
+    errors = _count(errors, "errors", low=0)
+    if errors > trials:
         raise ValueError(f"errors must lie in [0, trials], got {errors!r}")
     p = errors / trials
     z2 = Z95 * Z95
@@ -298,11 +294,11 @@ def _block_errors(params, trials, seed, choices, per_trial, blocks, decide):
     to (n, K) blocks, decide maps their Gram matrices to decided indices,
     and a trial errs if any index does.  Draw order: the module docstring.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials!r}")
+    trials = _count(trials, "trials")
     seed = _check_seed(seed)
     errors = 0
-    for rng, n in _substream_rngs(seed, trials):
+    sizes = _substreams(trials)
+    for rng, n in zip(_streams(seed, range(len(sizes))), sizes):
         sent = rng.integers(0, choices, size=(n, per_trial))
         G = gram(_gram_root(rng, blocks(sent), n, params.M, params.sigma2))
         errors += int(np.count_nonzero(np.any(decide(G) != sent, axis=-1)))
@@ -404,14 +400,14 @@ def kl_mc_estimate(s_i, s_k, params, samples, seed):
         raise TypeError("s_i and s_k must be SignalPoints")
     if s_i.K != params.K or s_k.K != params.K:
         raise ValueError("point block lengths must match params.K")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples!r}")
+    samples = _count(samples, "samples")
     seed = _check_seed(seed)
     lam, log_det_ratio = _log_ratio_law(s_i.vector(), s_k.vector(), params.sigma2)
     lam /= params.M
     total = 0.0
     total_sq = 0.0
-    for rng, n in _substream_rngs(seed, samples):
+    sizes = _substreams(samples)
+    for rng, n in zip(_streams(seed, range(len(sizes))), sizes):
         ratio = rng.standard_gamma(params.M, size=(n, 2)) @ lam
         ratio -= log_det_ratio
         total += float(ratio.sum())
@@ -436,9 +432,7 @@ def square_qam_alphabet(bits):
     Square QAM for even bits, the two-point real alphabet for bits = 1.
     Other sizes have no square grid and are rejected.
     """
-    if int(bits) != bits or bits < 1:
-        raise ValueError(f"bits must be a positive integer, got {bits!r}")
-    bits = int(bits)
+    bits = _count(bits, "bits")
     if bits == 1:
         return np.array([-1.0 + 0.0j, 1.0 + 0.0j])
     if bits % 2:

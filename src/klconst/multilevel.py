@@ -55,6 +55,7 @@ from .core import (
     _chain_ratio,
     _check_level_rows,
     _check_sigma2,
+    _count,
     _kl_direction,
     _kl_energy,
 )
@@ -299,9 +300,7 @@ def _solve_ratios(sigma2, n_levels, t_v):
 
 def _check_split(sigma2, l_alpha):
     sigma2 = _check_sigma2(sigma2)
-    if l_alpha < 1:
-        raise ValueError(f"l_alpha must be >= 1, got {l_alpha}")
-    return sigma2, 2**l_alpha
+    return sigma2, 2 ** _count(l_alpha, "l_alpha")
 
 
 def _check_t_v(t_v):
@@ -415,8 +414,7 @@ def allocate_bits(l_s, sigma2, unitary_library):
     if values.size == 0:
         raise ValueError("the sigma2 grid is empty")
     s2 = np.array([_check_sigma2(s) for s in values.reshape(-1).tolist()])
-    if l_s < 1:
-        raise ValueError(f"l_s must be >= 1, got {l_s}")
+    l_s = _count(l_s, "l_s")
     for l_v in range(l_s + 1):
         entry = unitary_library.get(l_v)
         if entry is None:

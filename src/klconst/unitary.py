@@ -49,13 +49,14 @@ import numpy as np
 from .core import (
     _CHUNK_ENTRIES,
     UnitarySet,
+    _count,
     _min_sq_chordal,
     _pow2_bits,
     canonical_direction,
     read_layout,
     write_layout,
 )
-from .linksim import _check_seed, _stream
+from .linksim import _check_seed, _streams
 
 __all__ = [
     "PackingConfig",
@@ -103,10 +104,7 @@ class PackingConfig:
 
     def __post_init__(self):
         for name in ("K", "cardinality", "restarts", "iterations"):
-            value = getattr(self, name)
-            if int(value) != value or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _count(getattr(self, name), name))
         _pow2_bits(self.cardinality, "cardinality")
         _check_seed(self.seed)
         if self.K == 2:
@@ -124,8 +122,7 @@ def packing_limit(K, N):
     the lesser bound is returned, Fejes Toth's from N = 5 up (exact at
     N = 3, 4, 6 and 12).
     """
-    if K < 1 or N < 1:
-        raise ValueError("K and N must be >= 1")
+    K, N = _count(K, "K"), _count(N, "N")
     if N <= K:
         return 1.0
     welch = 1.0 - (N - K) / (K * (N - 1))
@@ -191,7 +188,7 @@ def _starts(cfg):
     rotation; otherwise each draws complex normals.  Rows are unit norm.
     """
     n, K = cfg.cardinality, cfg.K
-    streams = [_stream(cfg.seed, r) for r in range(cfg.restarts)]
+    streams = _streams(cfg.seed, range(cfg.restarts))
     if K == 2:
         layout = _bloch_layout(n)
         starts = np.stack([layout @ _haar_su2(rng).T for rng in streams])
@@ -256,7 +253,7 @@ def optimize_unitary(cfg):
     if n == 1:
         return UnitarySet(canonical_direction(cfg.K)[None, :])
     sets = _starts(cfg)
-    if cfg.K != 2 or n > 64:
+    if cfg.K != 2 or n > _BLOCH_CLIMBED[-1]:
         # a step's float and complex arrays stay near 1.5 MB, and the
         # default 8 restarts climb as one stack up to N = 64
         chunk = max(1, _CHUNK_ENTRIES // n**2)

@@ -525,6 +525,32 @@ class TestSerSweepMode:
         assert reseeded.splitlines()[1].endswith(",77")
         assert (tmp_path / "ser.csv").read_text() == base
 
+    def test_each_direction_row_is_one_estimate_ser_call(self, tmp_path, monkeypatch):
+        # perfbench's SER check pairs every multilevel or unitary row, in
+        # row order, with one recorded estimate_ser call and re-simulates
+        # the constellation that call was handed
+        calls = []
+        real = klconst.cli.estimate_ser
+
+        def recording(c, params, trials, seed):
+            calls.append((c, params, trials))
+            return real(c, params, trials, seed)
+
+        monkeypatch.setattr(klconst.cli, "estimate_ser", recording)
+        cfg = write_config(tmp_path, K=2, M=4, l_s=2, snr_db_list="0, 8", trials=300,
+                           seed=3, output_path=tmp_path / "ser.csv")
+        assert main(["ser-sweep", "--config", str(cfg)]) == 0
+        rows = [line.split(",") for line in (tmp_path / "ser.csv").read_text().splitlines()[1:]]
+        assert [(r[0], r[5]) for r in rows] == [
+            (scheme, snr) for snr in ("0", "8") for scheme in ("multilevel", "unitary", "pilot-qam")
+        ]
+        rows = [r for r in rows if r[0] != "pilot-qam"]
+        assert len(calls) == len(rows)
+        for row, (c, params, trials) in zip(rows, calls):
+            assert (trials, params.M) == (int(row[9]), int(row[2]))
+            assert params.sigma2 == klconst.core._sigma2_at(2, float(row[5]))
+            assert c.size == 2**2 and c.levels.size == 2 ** int(row[4])
+
     def test_snr_list_is_designed_in_one_call(self, tmp_path, monkeypatch):
         calls = []
         real = klconst.cli.allocate_bits

@@ -78,6 +78,41 @@ def test_package_exports_every_public_attribute():
     assert named == set(klconst.__all__) - {"__version__"}
 
 
+def _count_cases():
+    """(name, call) for each public entry taking a count: call(value) passes
+    value as the count named name, every other argument fixed and valid."""
+    params = ChannelParams(M=2, K=2, sigma2=0.5)
+    c = MultiLevelConstellation(LevelSet([1.0], 0.5), UnitarySet(np.eye(2, dtype=complex)))
+    s = SignalPoint(1.0, canonical_direction(2))
+    res = klconst.solve_bisection(0.5, 2, 0.5)
+    lib = klconst.library_codebooks(2, range(3))
+    return {
+        "estimate_ser": ("trials", lambda v: klconst.estimate_ser(c, params, v, 0)),
+        "pilot_qam_run": ("trials", lambda v: klconst.pilot_qam_run(
+            klconst.PilotQamScheme(2, 2), params, v, 0)),
+        "kl_mc_estimate": ("samples", lambda v: klconst.kl_mc_estimate(s, s, params, v, 0)),
+        "allocate_bits": ("l_s", lambda v: klconst.allocate_bits(v, 0.5, lib)),
+        "solve_bisection": ("l_alpha", lambda v: klconst.solve_bisection(0.5, v, 0.5)),
+        "energy_only_levels": ("l_alpha", lambda v: klconst.energy_only_levels(0.5, v)),
+        "build_level_set": ("l_alpha", lambda v: klconst.build_level_set(res, 0.5, v)),
+        "canonical_direction": ("K", canonical_direction),
+        "SerEstimate": ("errors", lambda v: klconst.SerEstimate(10, v, 1)),
+        "wilson_interval": ("errors", lambda v: klconst.wilson_interval(v, 10)),
+        "packing_limit": ("K", lambda v: klconst.packing_limit(v, 4)),
+    }
+
+
+@pytest.mark.parametrize("entry", list(_count_cases()))
+def test_counts_are_integers(entry):
+    # a fractional or non-finite count is a ValueError naming it; an
+    # integral float is the integer it equals
+    name, call = _count_cases()[entry]
+    for bad in (2.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"{name} must be a"):
+            call(bad)
+    assert repr(call(np.float64(2))) == repr(call(2))
+
+
 @pytest.fixture()
 def small_constellation():
     levels = LevelSet(

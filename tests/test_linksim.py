@@ -32,8 +32,7 @@ from klconst.linksim import (
     _gram_root,
     _log_ratio_law,
     _qam_slicer,
-    _stream,
-    _substream_rngs,
+    _streams,
     _substreams,
 )
 
@@ -42,8 +41,9 @@ WILSON_0_100_HIGH = 0.036993498206985676
 WILSON_5_100 = (0.021543679154367973, 0.11175046923191914)
 
 
-def philox(seed):
-    return np.random.Generator(np.random.Philox(key=np.array([seed, 0], np.uint64)))
+def philox(seed, k=0):
+    """A fresh Generator on the Philox stream keyed (seed, k)."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, k], np.uint64)))
 
 
 def random_unit_direction(rng, K):
@@ -91,8 +91,8 @@ def a_formed_kl(s_i, s_k, params, samples, seed):
     x_i, x_k = s_i.vector(), s_k.vector()
     c_i, c_k, log_det_ratio, _ = log_ratio_terms(x_i, x_k, sigma2)
     total = total_sq = 0.0
-    for b, n in _substreams(samples):
-        A = _gram_root(_stream(seed, b), x_i, n, M, sigma2)
+    for b, n in enumerate(_substreams(samples)):
+        A = _gram_root(philox(seed, b), x_i, n, M, sigma2)
         q_i = np.sum(np.abs(A @ x_i.conj()) ** 2, axis=-1)
         q_k = np.sum(np.abs(A @ x_k.conj()) ** 2, axis=-1)
         ratio = (q_i * c_i - q_k * c_k) / M - log_det_ratio
@@ -267,24 +267,29 @@ class TestEstimateSer:
         assert estimate_ser(c, params, 5000, seed).errors == errors
 
 
-class TestSubstreamRngs:
+class TestStreams:
     def test_draws_what_a_fresh_stream_draws(self):
-        # each substream draws 32-bit integers, which can leave half a word
+        # each stream draws 32-bit integers, which can leave half a word
         # in Philox's state, and leaves part of its buffer unread: the
         # re-keying must reset both
-        seed, trials = 2**64 - 1, 3 * 2048 + 5
-        got = [n for _, n in _substream_rngs(seed, trials)]
-        assert got == [n for _, n in _substreams(trials)]
-        for (b, n), (rng, _) in zip(_substreams(trials), _substream_rngs(seed, trials)):
-            fresh = _stream(seed, b)
+        seed, keys = 2**64 - 1, [0, 1, 2, 2**63, 1]
+        for i, (k, rng) in enumerate(zip(keys, _streams(seed, keys))):
+            fresh = philox(seed, k)
             draws = [
-                (g.integers(0, 5, size=3), g.standard_gamma(4.0, size=n % 7 + 1),
+                (g.integers(0, 5, size=3), g.standard_gamma(4.0, size=2 * i + 1),
                  g.standard_normal(3), g.integers(0, 2**40))
                 for g in (fresh, rng)
             ]
             for x, y in zip(*draws):
                 np.testing.assert_array_equal(x, y)
             assert repr(rng.bit_generator.state) == repr(fresh.bit_generator.state)
+        # each call draws through a Generator of its own
+        assert next(_streams(seed, [0])) is not next(_streams(seed, [0]))
+
+    def test_substreams_split_the_trials(self):
+        assert _substreams(3 * 2048 + 5) == [2048, 2048, 2048, 5]
+        assert _substreams(4096) == [2048, 2048]
+        assert _substreams(1) == [1]
 
 
 class TestKlMcEstimate:
@@ -323,8 +328,8 @@ class TestKlMcEstimate:
         assert lam_minus == pytest.approx(min(ev[0], 0.0), rel=0.0, abs=1e-12 * scale)
         assert np.abs(ev[1:-1]).max(initial=0.0) <= 1e-12 * scale
         Y = np.linalg.solve(b_transpose(x_i, sigma2), U[:, [-1, 0]])
-        for b, n in _substreams(5000):
-            A = _gram_root(_stream(31, b), x_i, n, M, sigma2)
+        for b, n in enumerate(_substreams(5000)):
+            A = _gram_root(philox(31, b), x_i, n, M, sigma2)
             q_i = np.sum(np.abs(A @ x_i.conj()) ** 2, axis=-1)
             q_k = np.sum(np.abs(A @ x_k.conj()) ** 2, axis=-1)
             g = np.sum(np.abs(A @ Y) ** 2, axis=-2)

@@ -21,7 +21,6 @@ from klconst import (
     save_unitary,
 )
 from klconst._bloch_climbed import LAYOUTS
-from klconst.linksim import _stream
 from klconst.unitary import (
     _BLOCH_CLIMBED,
     DEFAULT_ITERATIONS,
@@ -204,7 +203,9 @@ class TestBlochPacking:
 def turned_lattice(seeds, N):
     """Restart 0's turn of the bare Fibonacci lattice of N lines for each
     seed, as a (len(seeds), N, 2) stack."""
-    starts = np.stack([_sphere_layout(N) @ _haar_su2(_stream(s, 0)).T for s in seeds])
+    rngs = (np.random.Generator(np.random.Philox(key=np.array([s, 0], np.uint64)))
+            for s in seeds)
+    starts = np.stack([_sphere_layout(N) @ _haar_su2(rng).T for rng in rngs])
     return starts / np.linalg.norm(starts, axis=2, keepdims=True)
 
 
@@ -334,7 +335,7 @@ class TestPackingFloor:
 
 def restart_start(seed, restart, n, K):
     """The start that optimize_unitary draws for one restart."""
-    rng = _stream(seed, restart)
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, restart], np.uint64)))
     V = rng.standard_normal((n, K)) + 1j * rng.standard_normal((n, K))
     return V / np.linalg.norm(V, axis=1, keepdims=True)
 
