@@ -441,11 +441,18 @@ _RUNNERS = {
 def run(cfg):
     """Execute a parsed config; returns the process exit code.
 
-    The output file's directory is created here, once for the whole run.
-    Config problems found while running raise ConfigError; any other
-    ValueError or ArithmeticError, and a MemoryError, is a numeric failure.
+    The output file's directory is created here, once for the whole run,
+    before any file is written.  Config problems found while running raise
+    ConfigError; any other ValueError or ArithmeticError, and a MemoryError,
+    is a numeric failure.
     """
-    Path(cfg.output_path).parent.mkdir(parents=True, exist_ok=True)
+    out = Path(cfg.output_path)
+    if out.is_dir():
+        raise ConfigError(f"field 'output_path' names a directory: {out}")
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"field 'output_path': cannot create its directory: {exc}") from exc
     return _RUNNERS[cfg.mode](cfg)
 
 

@@ -204,9 +204,10 @@ def _complex_normal(rng, shape, scale=1.0):
 
 
 def _check_seed(seed):
-    if int(seed) != seed or not 0 <= seed < 2**64:
+    seed = _count(seed, "seed", low=0)
+    if seed >= 2**64:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
-    return int(seed)
+    return seed
 
 
 def wilson_interval(errors, trials):

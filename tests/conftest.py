@@ -1,8 +1,14 @@
 """Shared fixtures. The big direction library is built once per session."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import klconst
 from klconst import library_codebooks
 
 
@@ -34,3 +40,21 @@ def _per_element_layout(header, amplitudes, vectors):
 @pytest.fixture(scope="session")
 def per_element_layout():
     return _per_element_layout
+
+
+@pytest.fixture(scope="session")
+def run_python():
+    """run_python(argv, **env) runs `python *argv` in a child process that
+    imports klconst from this source tree, with env added to its
+    environment, and returns the CompletedProcess with text output.  A child
+    is needed where a test must see a fresh interpreter: what a run
+    imports, or a BLAS thread count, which BLAS reads when it loads."""
+    src = str(Path(klconst.__file__).resolve().parents[1])
+
+    def run(argv, **env):
+        return subprocess.run(
+            [sys.executable, *argv], env=dict(os.environ, PYTHONPATH=src, **env),
+            capture_output=True, text=True, timeout=120,
+        )
+
+    return run

@@ -2,10 +2,7 @@
 
 import importlib
 import importlib.util
-import os
 import re
-import subprocess
-import sys
 import time
 from pathlib import Path
 
@@ -222,20 +219,20 @@ class TestFieldsPerMode:
             parse_config(cfg, "design")
 
     def test_pack_unitary_knobs_default_to_the_packer_defaults(self, tmp_path):
-        for K in (2, 3):
-            bare = write_config(tmp_path, f"bare{K}.cfg", K=K, l_s=1, seed=4,
-                                output_path=tmp_path / f"bare{K}.txt")
-            explicit = write_config(
-                tmp_path, f"explicit{K}.cfg", K=K, l_s=1, seed=4,
-                restarts=klconst.unitary.DEFAULT_RESTARTS,
-                iterations=klconst.unitary.DEFAULT_ITERATIONS,
-                output_path=tmp_path / f"explicit{K}.txt",
-            )
-            assert main(["pack-unitary", "--config", str(bare)]) == 0
-            assert main(["pack-unitary", "--config", str(explicit)]) == 0
-            assert (tmp_path / f"bare{K}.txt").read_bytes() == (
-                tmp_path / f"explicit{K}.txt"
-            ).read_bytes()
+        defaults = dict(restarts=klconst.unitary.DEFAULT_RESTARTS,
+                        iterations=klconst.unitary.DEFAULT_ITERATIONS)
+        # at K = 2 a layout up to N = 64 is final and one start is packed, so
+        # restarts and iterations leave the N = 32 codebook as the defaults
+        # write it
+        for K, l_s, knobs in ((2, 1, defaults), (3, 1, defaults),
+                              (2, 5, dict(restarts=3, iterations=20))):
+            books = []
+            for name, fields in (("bare", {}), ("explicit", knobs)):
+                out = tmp_path / f"{name}{K}_{l_s}.txt"
+                cfg = write_config(tmp_path, K=K, l_s=l_s, seed=4, output_path=out, **fields)
+                assert main(["pack-unitary", "--config", str(cfg)]) == 0
+                books.append(out.read_bytes())
+            assert books[0] == books[1]
 
     def test_readme_examples_parse(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -272,7 +269,7 @@ class TestDesignMode:
         c = load_constellation(out / "design_point00_constellation.txt")
         assert c.size == 4
 
-    def test_high_snr_point_finishes(self, tmp_path):
+    def test_high_snr_point_finishes(self, tmp_path, run_python):
         # at 50 dB the level ratio is about 1e5; run in a child process so
         # that a bisection which never settles fails on the timeout.  At
         # 200 dB the energy term's x - 1 rounded to -1 at the ratio ceiling,
@@ -281,12 +278,7 @@ class TestDesignMode:
         # sign change, and the design exited 3 as well.
         cfg = write_config(tmp_path, K=2, l_s=2, snr_db_list="50, 200, -200", seed=5,
                            output_path=tmp_path / "high.csv")
-        src = str(Path(klconst.unitary.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-m", "klconst.cli", "design", "--config", str(cfg)],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
+        proc = run_python(["-m", "klconst.cli", "design", "--config", str(cfg)])
         assert proc.returncode == 0, proc.stderr
         rows = (tmp_path / "high.csv").read_text().splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == ["50", "200", "-200"]
@@ -304,7 +296,7 @@ class TestDesignMode:
             assert abs(np.mean(c.levels.amplitudes**2) - 1.0) <= 1e-9
 
     @pytest.mark.parametrize(
-        "snr_db,code", [(1600, 3), (-1600, 3), (1530, 0), (-1540, 0)]
+        "snr_db,code", [(1600, 3), (-1600, 3), (1530, 0), (-1540, 0), (200, 0), (-200, 0)]
     )
     def test_ends_of_the_snr_axis(self, tmp_path, capsys, library_k2_ls6, snr_db,
                                   code):
@@ -324,11 +316,25 @@ class TestDesignMode:
             rows = (tmp_path / "end.csv").read_text().splitlines()
             assert [row.split(",")[0] for row in rows[1:]] == [str(snr_db)]
 
-    def test_rerun_is_byte_identical(self, tmp_path, design_cfg):
-        main(["design", "--config", str(design_cfg)])
-        first = (tmp_path / "out" / "design.csv").read_bytes()
-        main(["design", "--config", str(design_cfg)])
-        assert (tmp_path / "out" / "design.csv").read_bytes() == first
+    def test_rerun_is_byte_identical(self, tmp_path):
+        # two runs, each into a directory of its own, write the same summary
+        # and the same table and constellation for every point; the 41-point
+        # grid (-15 ... -5 dB in 0.25 dB steps) is designed in one pass
+        grid = ", ".join(f"{-15 + 0.25 * i:g}" for i in range(41))
+        for name, fields, points in (
+            ("design", dict(K=2, l_s=2, snr_db_list="0, 10, 20", seed=5), 3),
+            ("grid", dict(K=2, l_s=6, snr_db_list=grid, seed=0), 41),
+        ):
+            dirs = [tmp_path / f"{name}{run}" for run in range(2)]
+            for out in dirs:
+                cfg = write_config(tmp_path, output_path=out / f"{name}.csv", **fields)
+                assert main(["design", "--config", str(cfg)]) == 0
+            files = sorted(p.name for p in dirs[0].iterdir())
+            assert len(files) == 1 + 2 * points
+            assert len((dirs[0] / f"{name}.csv").read_text().splitlines()) == 1 + points
+            assert sorted(p.name for p in dirs[1].iterdir()) == files
+            for f in files:
+                assert (dirs[1] / f).read_bytes() == (dirs[0] / f).read_bytes(), f
 
     def test_codebook_lines_are_formatted_once(self, tmp_path, monkeypatch,
                                                library_k2_ls6, per_element_layout):
@@ -438,7 +444,7 @@ class TestLazyLibrary:
         assert pack_calls == []
 
     @pytest.mark.parametrize("mode", ["design", "kl-check", "pack-unitary"])
-    def test_no_mode_imports_multiprocessing(self, tmp_path, mode):
+    def test_no_mode_imports_multiprocessing(self, tmp_path, run_python, mode):
         # packing climbs in this process, so no mode pays for importing
         # multiprocessing or forking: not the runs that climb nothing
         # (design with every size supplied, kl-check), nor a K = 3 packing
@@ -462,12 +468,7 @@ class TestLazyLibrary:
             "import sys; from klconst.cli import main; code = main(sys.argv[1:]); "
             "print(code, 'multiprocessing' in sys.modules)"
         )
-        src = str(Path(klconst.unitary.__file__).resolve().parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-c", script, mode, "--config", str(cfg)],
-            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
-            timeout=120,
-        )
+        proc = run_python(["-c", script, mode, "--config", str(cfg)])
         lines = proc.stdout.splitlines()
         # pack-unitary prints its summary line first
         assert len(lines) == (2 if mode == "pack-unitary" else 1), proc.stderr
@@ -475,7 +476,7 @@ class TestLazyLibrary:
 
 
 class TestSerSweepMode:
-    def test_pilot_qam_does_not_import_numpy_ma(self, tmp_path):
+    def test_pilot_qam_does_not_import_numpy_ma(self, tmp_path, run_python):
         # the QAM slicer's levels are sorted and deduplicated by hand, since
         # np.unique imports numpy.ma
         cfg = write_config(tmp_path, K=2, M=4, l_s=2, snr_db_list="0", trials=200,
@@ -484,29 +485,26 @@ class TestSerSweepMode:
             "import sys; from klconst.cli import main; code = main(sys.argv[1:]); "
             "print(code, 'numpy.ma' in sys.modules)"
         )
-        src = str(Path(klconst.linksim.__file__).resolve().parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-c", script, "ser-sweep", "--config", str(cfg)],
-            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
-            timeout=120,
-        )
+        proc = run_python(["-c", script, "ser-sweep", "--config", str(cfg)])
         assert proc.stdout.split() == ["0", "False"], proc.stderr
         assert len((tmp_path / "ser.csv").read_text().splitlines()) == 2
 
     def test_rows_per_scheme_and_snr(self, tmp_path):
-        cfg = write_config(
-            tmp_path,
-            K=2, M=4, l_s=2, snr_db_list="0, 8", trials=400, seed=3,
-            output_path=tmp_path / "ser.csv",
-        )
-        assert main(["ser-sweep", "--config", str(cfg)]) == 0
-        lines = (tmp_path / "ser.csv").read_text().splitlines()
-        assert lines[0] == (
-            "scheme,K,M,l_s,l_alpha,snr_db,ser,ci_low,ci_high,trials,seed"
-        )
-        assert len(lines) == 1 + 2 * 3
-        schemes = [row.split(",")[0] for row in lines[1:]]
-        assert schemes == ["multilevel", "unitary", "pilot-qam"] * 2
+        # 200 dB also runs the level design where x - 1 rounds to -1
+        for snrs in ("0, 8", "0, 200"):
+            cfg = write_config(
+                tmp_path,
+                K=2, M=4, l_s=2, snr_db_list=snrs, trials=400, seed=3,
+                output_path=tmp_path / "ser.csv",
+            )
+            assert main(["ser-sweep", "--config", str(cfg)]) == 0
+            lines = (tmp_path / "ser.csv").read_text().splitlines()
+            assert lines[0] == (
+                "scheme,K,M,l_s,l_alpha,snr_db,ser,ci_low,ci_high,trials,seed"
+            )
+            assert len(lines) == 1 + 2 * 3
+            schemes = [row.split(",")[0] for row in lines[1:]]
+            assert schemes == ["multilevel", "unitary", "pilot-qam"] * 2
 
     def test_scheme_subset_and_seed_override(self, tmp_path):
         fields = dict(K=2, M=4, l_s=2, snr_db_list="5", trials=400,
@@ -633,6 +631,30 @@ class TestPackUnitaryMode:
         assert main(["pack-unitary", "--config", str(cfg)]) == 0
         assert (tmp_path / "books" / "u1.txt").is_file()
 
+    def test_rerun_writes_the_same_k3_codebook(self, tmp_path):
+        # one config and seed give one codebook to the bit: the K = 3, N = 64
+        # packing (8 climbed restarts) twice writes the same file
+        books = []
+        for run in range(2):
+            out = tmp_path / f"u6_{run}.txt"
+            cfg = write_config(tmp_path, K=3, l_s=6, seed=0, iterations=100, output_path=out)
+            assert main(["pack-unitary", "--config", str(cfg)]) == 0
+            books.append(out.read_bytes())
+        assert books[0] == books[1]
+
+    def test_k2_seeds_print_one_min_sq_dist(self, tmp_path, capsys):
+        # at K = 2 the seed picks only the orientation of the codebook, so
+        # seeds 0 and 1 write two N = 64 files at one distance
+        dists, books = [], []
+        for seed in (0, 1):
+            out = tmp_path / f"k2_{seed}.txt"
+            cfg = write_config(tmp_path, K=2, l_s=6, seed=seed, output_path=out)
+            assert main(["pack-unitary", "--config", str(cfg)]) == 0
+            dists += re.findall(r"min_sq_dist=[^,]*", capsys.readouterr().out)
+            books.append(out.read_bytes())
+        assert len(dists) == 2 and dists[0] == dists[1]
+        assert books[0] != books[1]
+
     def test_codebook_feeds_back_into_design(self, tmp_path):
         book_cfg = write_config(
             tmp_path, "pack.cfg",
@@ -682,9 +704,13 @@ class TestSingleAntenna:
         assert not (tmp_path / "u.txt").exists()
 
     def test_kl_check_still_accepts_k1(self, tmp_path):
-        cfg = write_config(tmp_path, K=1, M=2, snr_db_list="0", trials=100, pairs=1,
-                           seed=1, output_path=tmp_path / "kl.csv")
+        # the log-ratio's matrix H is a scalar, so one of the two eigenvalues
+        # that weight each sample's gammas is 0: a header and 2 SNRs x 3 pairs
+        cfg = write_config(tmp_path, K=1, M=2, snr_db_list="0, 6", trials=500, pairs=3,
+                           seed=0, output_path=tmp_path / "kl.csv")
         assert parse_config(cfg, "kl-check").K == 1
+        assert main(["kl-check", "--config", str(cfg)]) == 0
+        assert len((tmp_path / "kl.csv").read_text().splitlines()) == 7
 
 
 class TestExitCodes:
@@ -692,6 +718,23 @@ class TestExitCodes:
         code = main(["design", "--config", str(tmp_path / "nope.cfg")])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", list(BASE_FIELDS))
+    @pytest.mark.parametrize("below", [None, "out.csv", "sub/out.csv"],
+                             ids=["directory", "file-parent", "file-grandparent"])
+    def test_unwritable_output_path_exits_2(self, tmp_path, capsys, below, mode):
+        # an output path that names a directory, or one below a regular file,
+        # is a config problem found before any file is written
+        taken = tmp_path / "taken"
+        if below is None:
+            taken.mkdir()
+        else:
+            taken.write_text("")
+        cfg = write_config(tmp_path, output_path=taken / (below or ""), **BASE_FIELDS[mode])
+        assert main([mode, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "'output_path'" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg", "taken"]
 
     def test_numeric_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         import klconst.cli as cli_mod
@@ -739,6 +782,51 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("klconst: numeric failure: Unable to allocate")
         assert err.count("\n") == 1
+
+
+class TestBlasThreads:
+    def test_one_thread_and_two_write_the_same_files(self, tmp_path, run_python):
+        # BLAS may split a matrix product differently across threads, and it
+        # reads its thread count when it loads, so each count runs in a child:
+        # - kl-check: a substream's KL samples are one (n, 2) @ (2,) product
+        #   of gammas with the eigenvalues of H
+        # - ser-sweep at K = 3: the direction scores are one real matrix
+        #   product of inner dimension K^2 = 9
+        # - ser-sweep through a supplied K = 2, l_s = 8 codebook: 256
+        #   directions are scored 256 trials at a time (2^16 scores a
+        #   block), 8 blocks a substream
+        # - pack-unitary at K = 2, l_s = 6: N = 64 turns the tabulated
+        #   climbed lattice
+        book = tmp_path / "u8.txt"
+        cfg = write_config(tmp_path, "u8.cfg", K=2, l_s=8, seed=0, restarts=1,
+                           iterations=20, output_path=book)
+        assert main(["pack-unitary", "--config", str(cfg)]) == 0
+        runs = {
+            "kl.csv": ("kl-check", dict(K=2, M=4, snr_db_list="0, 6", trials=62500,
+                                        pairs=4, seed=0), 9),
+            "ser.csv": ("ser-sweep", dict(K=3, M=8, l_s=4, snr_db_list="0, 6",
+                                          trials=4096, seed=0), 7),
+            "ser8.csv": ("ser-sweep", dict(K=2, M=8, l_s=8, snr_db_list="10, 20",
+                                           trials=4096, seed=0, schemes="unitary",
+                                           unitary_library_8=book), 3),
+            "k2.txt": ("pack-unitary", dict(K=2, l_s=6, seed=0), 65),
+        }
+        script = (
+            "import sys; from klconst.cli import main; "
+            "sys.exit(max([main(sys.argv[i:i + 3]) for i in range(1, len(sys.argv), 3)]))"
+        )
+        for threads in (1, 2):
+            argv = []
+            for name, (mode, fields, _) in runs.items():
+                cfg = write_config(tmp_path, f"{name}.{threads}.cfg",
+                                   output_path=tmp_path / f"t{threads}" / name, **fields)
+                argv += [mode, "--config", str(cfg)]
+            proc = run_python(["-c", script, *argv], OPENBLAS_NUM_THREADS=str(threads))
+            assert proc.returncode == 0, proc.stderr
+        for name, (*_, lines) in runs.items():
+            first = (tmp_path / "t1" / name).read_bytes()
+            assert len(first.splitlines()) == lines
+            assert (tmp_path / "t2" / name).read_bytes() == first, name
 
 
 class TestBenchmarkHooks:

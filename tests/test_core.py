@@ -79,8 +79,9 @@ def test_package_exports_every_public_attribute():
 
 
 def _count_cases():
-    """(name, call) for each public entry taking a count: call(value) passes
-    value as the count named name, every other argument fixed and valid."""
+    """(name, call) for each public entry taking a count, and each taking a
+    seed: call(value) passes value as the argument named name, every other
+    argument fixed and valid."""
     params = ChannelParams(M=2, K=2, sigma2=0.5)
     c = MultiLevelConstellation(LevelSet([1.0], 0.5), UnitarySet(np.eye(2, dtype=complex)))
     s = SignalPoint(1.0, canonical_direction(2))
@@ -91,6 +92,8 @@ def _count_cases():
         "pilot_qam_run": ("trials", lambda v: klconst.pilot_qam_run(
             klconst.PilotQamScheme(2, 2), params, v, 0)),
         "kl_mc_estimate": ("samples", lambda v: klconst.kl_mc_estimate(s, s, params, v, 0)),
+        "estimate_ser-seed": ("seed", lambda v: klconst.estimate_ser(c, params, 10, v)),
+        "kl_mc_estimate-seed": ("seed", lambda v: klconst.kl_mc_estimate(s, s, params, 10, v)),
         "allocate_bits": ("l_s", lambda v: klconst.allocate_bits(v, 0.5, lib)),
         "solve_bisection": ("l_alpha", lambda v: klconst.solve_bisection(0.5, v, 0.5)),
         "energy_only_levels": ("l_alpha", lambda v: klconst.energy_only_levels(0.5, v)),

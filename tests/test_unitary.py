@@ -1,10 +1,6 @@
 """Direction packing: chordal distances, packing bound, optimizer, files."""
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,7 +130,7 @@ class TestOptimizeUnitary:
             fields = {"K": 2, "cardinality": 4, "restarts": 1, "iterations": 10, field: 2.5}
             with pytest.raises(ValueError, match=f"{field} must be a positive integer"):
                 PackingConfig(**fields)
-        for seed in (1.5, -1, 2**64):
+        for seed in (1.5, -1, 2**64, math.nan, math.inf):
             with pytest.raises(ValueError, match="seed"):
                 PackingConfig(K=2, cardinality=4, seed=seed)
 
@@ -252,7 +248,7 @@ class TestBlochTable:
         optimize_unitary(cfg)
         assert calls == ([(1, iterations)] if climbed else [])
 
-    def test_table_is_imported_only_by_a_k2_packing(self):
+    def test_table_is_imported_only_by_a_k2_packing(self, run_python):
         script = (
             "import sys; from klconst import PackingConfig, optimize_unitary; "
             "name = 'klconst._bloch_climbed'; "
@@ -261,11 +257,7 @@ class TestBlochTable:
             "optimize_unitary(PackingConfig(K=2, cardinality=16)); "
             "print(name in sys.modules)"
         )
-        src = str(Path(klconst.unitary.__file__).resolve().parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
-            capture_output=True, text=True, timeout=120,
-        )
+        proc = run_python(["-c", script])
         assert proc.stdout.split() == ["False", "True"], proc.stderr
 
 
