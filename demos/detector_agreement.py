@@ -32,7 +32,8 @@ print(f"constellation: {c.levels.size} levels x {c.directions.size} directions, 
 rng = np.random.default_rng(1234)
 trials = 5000
 sent = rng.integers(0, c.size, size=trials)
-Y = np.stack([simulate_block(c.point(i), params, rng) for i in sent])
+S = c.point_vectors()   # row i is the transmit block of point i
+Y = np.stack([simulate_block(S[i], params, rng) for i in sent])
 
 t0 = time.perf_counter()
 joint = detect_joint(Y, c, params.sigma2)

@@ -11,7 +11,7 @@ couple of standard errors of the formula.
 
 import numpy as np
 
-from klconst import ChannelParams, SignalPoint, kl_full, kl_mc_estimate
+from klconst import ChannelParams, kl_full, kl_mc_estimate
 
 params = ChannelParams(M=4, K=2, sigma2=0.25)
 rng = np.random.default_rng(7)
@@ -23,7 +23,7 @@ for pair in range(5):
     for _ in range(2):
         v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         v /= np.linalg.norm(v)
-        points.append(SignalPoint(rng.uniform(0.3, 1.3), v))
+        points.append(rng.uniform(0.3, 1.3) * v)   # transmit block alpha v
     closed = kl_full(points[0], points[1], params.sigma2)
     est = kl_mc_estimate(points[0], points[1], params, 300_000, seed=pair)
     z = (est.estimate - closed) / est.std_error

@@ -48,7 +48,6 @@ from .core import (
     FileFormatError,
     LevelSet,
     MultiLevelConstellation,
-    SignalPoint,
     _sigma2_at,
     kl_full,
     save_constellation,
@@ -320,21 +319,31 @@ def _one_level(directions, sigma2):
 
 
 def run_design(cfg):
-    lib = _build_library(cfg, range(cfg.l_s + 1))
     out = Path(cfg.output_path)
     stem = out.with_suffix("")
+    # the table and constellation file of each point, checked before any
+    # packing or write
+    siblings = [
+        (Path(f"{stem}_point{idx:02d}_table.csv"),
+         Path(f"{stem}_point{idx:02d}_constellation.txt"))
+        for idx in range(len(cfg.snr_db_list))
+    ]
+    for path in (path for pair in siblings for path in pair):
+        if path.is_dir():
+            raise ConfigError(f"field 'output_path': its point file {path} names a directory")
+    lib = _build_library(cfg, range(cfg.l_s + 1))
     lines = [DESIGN_CSV_HEADER]
     grid = [_sigma2_at(cfg.K, snr_db) for snr_db in cfg.snr_db_list]
     outcomes = allocate_bits(cfg.l_s, grid, lib)
-    for idx, (snr_db, outcome) in enumerate(zip(cfg.snr_db_list, outcomes)):
+    for snr_db, outcome, (table_path, constellation_path) in zip(
+        cfg.snr_db_list, outcomes, siblings
+    ):
         chosen = outcome.per_allocation_table[outcome.l_alpha]
         lines.append(f"{_g(snr_db)},{chosen.csv()}")
         table = [ALLOCATION_CSV_HEADER]
         table += [row.csv() for row in outcome.per_allocation_table]
-        Path(f"{stem}_point{idx:02d}_table.csv").write_text("\n".join(table) + "\n")
-        save_constellation(
-            outcome.constellation, f"{stem}_point{idx:02d}_constellation.txt"
-        )
+        table_path.write_text("\n".join(table) + "\n")
+        save_constellation(outcome.constellation, constellation_path)
     out.write_text("\n".join(lines) + "\n")
     return 0
 
@@ -397,11 +406,11 @@ def run_kl_check(cfg):
                     cfg.K
                 )
                 v /= np.linalg.norm(v)
-                points.append(SignalPoint(pair_rng.uniform(0.2, 1.4), v))
-            s_i, s_k = points
-            closed = kl_full(s_i, s_k, sigma2)
+                points.append(pair_rng.uniform(0.2, 1.4) * v)
+            x_i, x_k = points
+            closed = kl_full(x_i, x_k, sigma2)
             seed_p = (cfg.seed + p) % 2**64
-            est = kl_mc_estimate(s_i, s_k, params, cfg.trials, seed_p)
+            est = kl_mc_estimate(x_i, x_k, params, cfg.trials, seed_p)
             z = (est.estimate - closed) / est.std_error if est.std_error else 0.0
             lines.append(
                 f"{p},{cfg.K},{cfg.M},{_g(snr_db)},{_g(closed)},{_g(est.estimate)},"

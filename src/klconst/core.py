@@ -2,7 +2,9 @@
 constellations.
 
 A constellation point is a block of K transmit symbols s = alpha * v with
-amplitude alpha >= 0 and unit-norm direction v.  Over one fading block the
+amplitude alpha >= 0 and unit-norm direction v, and every function here
+takes a point as that block: a 1-D complex array, such as a row of
+MultiLevelConstellation.point_vectors().  Over one fading block the
 M-antenna receiver sees
 
     Y = h s^T + N,    h ~ CN(0, I_M),   N entries i.i.d. CN(0, sigma2),
@@ -35,7 +37,6 @@ import numpy as np
 
 __all__ = [
     "ChannelParams",
-    "SignalPoint",
     "UnitarySet",
     "LevelSet",
     "MultiLevelConstellation",
@@ -56,6 +57,8 @@ LOAD_NORM_TOL = 1e-6
 # Power / chain tolerances for level sets and constellations.
 POWER_TOL = 1e-9
 CHAIN_RTOL = 1e-9
+# Every check against these tolerances reads "fail unless deviation <= tol",
+# so that a NaN deviation fails it.
 
 # Entries of the largest array a batched kernel builds at once: the packer
 # climbs restarts in stacks whose per-step (R, N, N) arrays hold at most
@@ -109,7 +112,7 @@ def canonical_direction(K):
 
 
 # ---------------------------------------------------------------------------
-# channel and point types
+# channel parameters and transmit blocks
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -153,38 +156,16 @@ class ChannelParams:
         return cls(M=M, K=K, sigma2=_sigma2_at(K, snr_db))
 
 
-class SignalPoint:
-    """One constellation point s = amplitude * direction.
-
-    The direction must be unit norm (within 1e-12) even for the zero point,
-    where the constellation supplies its canonical direction; vector()
-    reconstructs the transmitted K-symbol block.
-    """
-
-    def __init__(self, amplitude, direction):
-        amplitude = float(amplitude)
-        if not math.isfinite(amplitude) or amplitude < 0.0:
-            raise ValueError(f"amplitude must be a nonnegative real, got {amplitude!r}")
-        v = np.array(direction, dtype=complex)
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError("direction must be a non-empty 1-D complex vector")
-        nrm = np.linalg.norm(v)
-        if abs(nrm - 1.0) > UNIT_NORM_TOL:
-            raise ValueError(f"direction norm {nrm!r} deviates from 1 by more than {UNIT_NORM_TOL}")
-        v.flags.writeable = False
-        self.amplitude = amplitude
-        self.direction = v
-
-    @property
-    def K(self):
-        return self.direction.size
-
-    def vector(self):
-        """Transmitted block alpha * v as a fresh complex array."""
-        return self.amplitude * self.direction
-
-    def __repr__(self):
-        return f"SignalPoint(amplitude={self.amplitude:.6g}, K={self.K})"
+def _block(x, name, K=None):
+    """x as a transmit block s = alpha v: a 1-D complex array of K finite
+    entries (any K >= 1 for None).  Otherwise a ValueError gives its name."""
+    x = np.asarray(x, dtype=complex)
+    if x.ndim != 1 or x.size < 1 or (K is not None and x.size != K):
+        want = "a non-empty 1-D block" if K is None else f"a 1-D block of K = {K} symbols"
+        raise ValueError(f"{name} must be {want}, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} must have finite entries")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +199,7 @@ class UnitarySet:
         self._bits = _pow2_bits(V.shape[0], "unitary set cardinality")
         norms = np.linalg.norm(V, axis=1)
         worst = int(np.argmax(np.abs(norms - 1.0)))
-        if abs(norms[worst] - 1.0) > UNIT_NORM_TOL:
+        if not abs(norms[worst] - 1.0) <= UNIT_NORM_TOL:
             raise ValueError(
                 f"vector {worst} has norm {norms[worst]!r}, deviating from 1 "
                 f"by more than {UNIT_NORM_TOL}"
@@ -272,7 +253,7 @@ def _check_level_rows(a, sigma2):
     if a.shape[1] > 1 and not np.all(np.diff(a) > 0.0):
         raise ValueError("amplitudes must be strictly increasing")
     power = np.mean(a * a, axis=1)
-    off = np.abs(power - 1.0) > POWER_TOL
+    off = ~(np.abs(power - 1.0) <= POWER_TOL)
     if np.any(off):
         raise ValueError(
             f"mean squared amplitude {float(power[off][0])!r} violates the unit "
@@ -284,7 +265,7 @@ def _check_level_rows(a, sigma2):
         ratio = _chain_ratio(a, s2[:, 0])
         chain = shifted[:, :1] * ratio[:, None] ** np.arange(a.shape[1])
         err = np.max(np.abs(shifted - chain) / chain)
-        if err > CHAIN_RTOL:
+        if not err <= CHAIN_RTOL:
             raise ValueError(
                 f"energies deviate from the geometric chain by relative "
                 f"{err:.3e} (tolerance {CHAIN_RTOL})"
@@ -378,14 +359,6 @@ class MultiLevelConstellation:
         """Total bits l_s = l_alpha + l_v."""
         return self.levels.bits + self.directions.bits
 
-    def point(self, index):
-        """SignalPoint at the given index (level bits high-order)."""
-        index = int(index)
-        if not 0 <= index < self.size:
-            raise IndexError(f"index {index} out of range for {self.size} points")
-        n, j = divmod(index, self.directions.size)
-        return SignalPoint(self.levels.amplitudes[n], self.directions.vectors[j])
-
     def point_vectors(self):
         """All transmit blocks stacked as a (size, K) array, index order.
 
@@ -454,13 +427,14 @@ def _kl_energy(e_i, e_k, sigma2):
     return d2 if d2.ndim else float(d2)
 
 
-def kl_full(s_i, s_k, sigma2):
-    """Closed-form KL distance per receive antenna, D(f(.|s_i) || f(.|s_k)).
+def kl_full(x_i, x_k, sigma2):
+    """Closed-form KL distance per receive antenna, D(f(.|x_i) || f(.|x_k)).
 
     Parameters
     ----------
-    s_i, s_k : SignalPoint
-        True and alternative constellation points, equal block length.
+    x_i, x_k : 1-D complex arrays
+        Transmit blocks of the true and the alternative point, equal block
+        length, e.g. rows of point_vectors().
     sigma2 : float
         Noise variance, > 0.
 
@@ -471,10 +445,8 @@ def kl_full(s_i, s_k, sigma2):
         coincide.
     """
     sigma2 = _check_sigma2(sigma2)
-    x = s_i.vector()
-    y = s_k.vector()
-    if x.shape != y.shape:
-        raise ValueError(f"points have different block lengths {x.size} and {y.size}")
+    x = _block(x_i, "x_i")
+    y = _block(x_k, "x_k", x.size)
     e_i = float(np.real(np.vdot(x, x)))
     e_k = float(np.real(np.vdot(y, y)))
     cross = abs(np.vdot(x, y)) ** 2
@@ -619,7 +591,7 @@ def read_layout(path, header, build):
     vector_lines = body[n_amps:]
     V = np.array([parse_vector_line(t, fields["K"], ln, path) for ln, t in vector_lines])
     norms = np.linalg.norm(V, axis=1)
-    bad = np.abs(norms - 1.0) > LOAD_NORM_TOL
+    bad = ~(np.abs(norms - 1.0) <= LOAD_NORM_TOL)
     if np.any(bad):
         row = int(np.argmax(bad))
         raise FileFormatError(

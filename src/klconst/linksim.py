@@ -67,7 +67,7 @@ from .core import (
     _CHUNK_ENTRIES,
     ChannelParams,
     MultiLevelConstellation,
-    SignalPoint,
+    _block,
     _count,
 )
 from .detection import _score_weights, _two_stage_gram, gram
@@ -261,14 +261,14 @@ def _gram_root(rng, S, n, M, sigma2):
     return sigma * R + (c[..., None] * u)[..., None] * S[..., None, :]
 
 
-def simulate_block(s, params, rng):
-    """One received block Y = h s^T + N for a single transmitted point.
+def simulate_block(x, params, rng):
+    """One received block Y = h x^T + N for a single transmitted point.
 
     Parameters
     ----------
-    s : SignalPoint
+    x : 1-D complex array
+        The point's transmit block, of length params.K.
     params : ChannelParams
-        Block length must match the point.
     rng : numpy.random.Generator
         Consumed in a fixed order (fading first, then noise).
 
@@ -276,17 +276,12 @@ def simulate_block(s, params, rng):
     -------
     numpy.ndarray, shape (M, K)
     """
-    if not isinstance(s, SignalPoint):
-        raise TypeError("s must be a SignalPoint")
     if not isinstance(params, ChannelParams):
         raise TypeError("params must be ChannelParams")
-    if s.K != params.K:
-        raise ValueError(
-            f"point block length {s.K} does not match params.K = {params.K}"
-        )
+    x = _block(x, "x", params.K)
     h = _complex_normal(rng, params.M)
     noise = _complex_normal(rng, (params.M, params.K), scale=math.sqrt(params.sigma2))
-    return h[:, None] * s.vector()[None, :] + noise
+    return h[:, None] * x[None, :] + noise
 
 
 def _block_errors(params, trials, seed, choices, per_trial, blocks, decide):
@@ -365,10 +360,12 @@ def _log_ratio_law(x_i, x_k, sigma2):
     return np.array([t + root, t - root]) / 2.0, log_det_ratio
 
 
-def kl_mc_estimate(s_i, s_k, params, samples, seed):
-    """Monte-Carlo estimate of the per-antenna KL distance D(s_i || s_k).
+def kl_mc_estimate(x_i, x_k, params, samples, seed):
+    """Monte-Carlo estimate of the per-antenna KL distance D(x_i || x_k)
+    between the points with transmit blocks x_i and x_k (1-D complex
+    arrays of length params.K).
 
-    Averages (1/M) ln[f(Y|s_i)/f(Y|s_k)] over blocks Y sent as s_i, with
+    Averages (1/M) ln[f(Y|x_i)/f(Y|x_k)] over blocks Y sent as x_i, with
     the log-ratio computed analytically from the quadratic forms
 
         q(s) = s^T G s^* = ||A s^*||^2,    ln f = q/(sigma2 (sigma2+E)) - M ln(sigma2+E)
@@ -389,21 +386,19 @@ def kl_mc_estimate(s_i, s_k, params, samples, seed):
     two independent columns of the M x K Gaussian factor of W.  Each
     sample therefore draws two gammas of shape M whatever K and M are (see
     the module docstring for the draw order); no Y, R, A or G is formed.
-    The expectation of the average is kl_full(s_i, s_k), and each sample
-    has variance (lambda_+^2 + lambda_-^2)/M.
+    The expectation of the average is kl_full(x_i, x_k, params.sigma2), and
+    each sample has variance (lambda_+^2 + lambda_-^2)/M.
 
     Returns
     -------
     KlMcEstimate
         Sample mean, standard error of the mean, sample count, seed.
     """
-    if not isinstance(s_i, SignalPoint) or not isinstance(s_k, SignalPoint):
-        raise TypeError("s_i and s_k must be SignalPoints")
-    if s_i.K != params.K or s_k.K != params.K:
-        raise ValueError("point block lengths must match params.K")
+    x_i = _block(x_i, "x_i", params.K)
+    x_k = _block(x_k, "x_k", params.K)
     samples = _count(samples, "samples")
     seed = _check_seed(seed)
-    lam, log_det_ratio = _log_ratio_law(s_i.vector(), s_k.vector(), params.sigma2)
+    lam, log_det_ratio = _log_ratio_law(x_i, x_k, params.sigma2)
     lam /= params.M
     total = 0.0
     total_sq = 0.0

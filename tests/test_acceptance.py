@@ -18,7 +18,6 @@ from klconst import (
     MultiLevelConstellation,
     PackingConfig,
     PilotQamScheme,
-    SignalPoint,
     UnitarySet,
     allocate_bits,
     build_level_set,
@@ -198,7 +197,7 @@ def test_05_closed_form_kl_vs_monte_carlo(capsys):
         for _ in range(2):
             v = crandn(rng, 2)
             v /= np.linalg.norm(v)
-            pts.append(SignalPoint(float(rng.uniform(0.2, 1.4)), v))
+            pts.append(float(rng.uniform(0.2, 1.4)) * v)
         closed = kl_full(pts[0], pts[1], sigma2)
         est = kl_mc_estimate(pts[0], pts[1], params, 1_000_000, seed=900 + p)
         z = (est.estimate - closed) / est.std_error

@@ -434,6 +434,22 @@ class TestLazyLibrary:
         assert pack_calls == []
         assert not (tmp_path / "d.csv").exists()
 
+    @pytest.mark.parametrize("mode", ["design", "ser-sweep"])
+    def test_nan_codebook_exits_2(self, tmp_path, capsys, pack_calls, mode):
+        # a NaN decimal gives a NaN norm, which the loader's norm check
+        # rejects: no NaN min_kl, no NaN constellation, no SER
+        book = tmp_path / "u1.txt"
+        book.write_text("2 2\n1 0 0 0\n0 nan 1 0\n")
+        fields = dict(BASE_FIELDS[mode], output_path=tmp_path / "d.csv", unitary_library_1=book)
+        if mode == "ser-sweep":
+            fields["schemes"] = "unitary"
+        cfg = write_config(tmp_path, **fields)
+        assert main([mode, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "'unitary_library_1'" in err and "u1.txt:3" in err
+        assert pack_calls == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg", "u1.txt"]
+
     def test_bad_file_is_rejected_before_packing(self, tmp_path, pack_calls):
         book = tmp_path / "u3.txt"
         book.write_text("2 1\n1 0 0 0\n")
@@ -735,6 +751,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "config error" in err and "'output_path'" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg", "taken"]
+
+    @pytest.mark.parametrize("point_file", ["d_point00_table.csv", "d_point01_constellation.txt"])
+    def test_point_file_naming_a_directory_exits_2(self, tmp_path, capsys, point_file):
+        # a design writes a table and a constellation file per point next to
+        # output_path; each is checked before the first file is written
+        (tmp_path / point_file).mkdir()
+        cfg = write_config(tmp_path, K=2, l_s=2, snr_db_list="0, 10", seed=1,
+                           output_path=tmp_path / "d.csv")
+        assert main(["design", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "'output_path'" in err and point_file in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["run.cfg", point_file])
 
     def test_numeric_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         import klconst.cli as cli_mod

@@ -1,6 +1,7 @@
 """Domain types, KL closed forms, and the text serialization."""
 
 import math
+import re
 import types
 
 import mpmath
@@ -15,7 +16,6 @@ from klconst import (
     FileFormatError,
     LevelSet,
     MultiLevelConstellation,
-    SignalPoint,
     UnitarySet,
     canonical_direction,
     kl_full,
@@ -59,8 +59,9 @@ def inter(alpha_1, alpha_2, sigma2):
 
 
 def random_point(rng, K, amp_low=0.0, amp_high=1.6):
+    # the transmit block alpha v of a random point
     v = unit(rng.standard_normal(K) + 1j * rng.standard_normal(K))
-    return SignalPoint(rng.uniform(amp_low, amp_high), v)
+    return rng.uniform(amp_low, amp_high) * v
 
 
 def test_package_exports_every_public_attribute():
@@ -84,7 +85,7 @@ def _count_cases():
     argument fixed and valid."""
     params = ChannelParams(M=2, K=2, sigma2=0.5)
     c = MultiLevelConstellation(LevelSet([1.0], 0.5), UnitarySet(np.eye(2, dtype=complex)))
-    s = SignalPoint(1.0, canonical_direction(2))
+    s = canonical_direction(2)
     res = klconst.solve_bisection(0.5, 2, 0.5)
     lib = klconst.library_codebooks(2, range(3))
     return {
@@ -116,6 +117,27 @@ def test_counts_are_integers(entry):
     assert repr(call(np.float64(2))) == repr(call(2))
 
 
+@pytest.mark.parametrize(
+    "block", [[1.0, 0.0, 0.0], [math.nan, 0.0], [1.0, complex(0.0, math.inf)]],
+    ids=["wrong-length", "nan", "inf"],
+)
+@pytest.mark.parametrize("entry", ["kl_full", "kl_mc_estimate", "simulate_block"])
+def test_blocks_are_checked(entry, block):
+    # each entry taking a point takes its transmit block, and a block of
+    # the wrong length or with a non-finite entry is a ValueError naming it
+    params = ChannelParams(M=2, K=2, sigma2=0.5)
+    s = canonical_direction(2)
+    name, call = {
+        "kl_full": ("x_k", lambda x: kl_full(s, x, 0.5)),
+        "kl_mc_estimate": ("x_i", lambda x: klconst.kl_mc_estimate(x, s, params, 10, 0)),
+        "simulate_block": ("x", lambda x: klconst.simulate_block(
+            x, params, np.random.default_rng(0))),
+    }[entry]
+    call(s)
+    with pytest.raises(ValueError, match=f"^{name} must "):
+        call(block)
+
+
 @pytest.fixture()
 def small_constellation():
     levels = LevelSet(
@@ -126,7 +148,7 @@ def small_constellation():
 
 
 # ---------------------------------------------------------------------------
-# parameter and point types
+# parameters and containers
 # ---------------------------------------------------------------------------
 
 
@@ -155,26 +177,6 @@ class TestChannelParams:
             ChannelParams(**kwargs)
 
 
-class TestSignalPoint:
-    def test_vector_reconstructs_the_block(self):
-        v = unit([1.0, 1.0j])
-        s = SignalPoint(1.3, v)
-        np.testing.assert_allclose(s.vector(), 1.3 * v, rtol=0, atol=0)
-
-    def test_zero_amplitude_point_is_allowed(self):
-        s = SignalPoint(0.0, canonical_direction(3))
-        assert np.all(s.vector() == 0)
-
-    def test_direction_must_be_unit_norm(self):
-        with pytest.raises(ValueError):
-            SignalPoint(1.0, [0.5, 0.0])
-
-    def test_direction_is_frozen(self):
-        s = SignalPoint(1.0, canonical_direction(2))
-        with pytest.raises(ValueError):
-            s.direction[0] = 0.0
-
-
 class TestUnitarySet:
     def test_cardinality_must_be_a_power_of_two(self):
         vecs = np.array([unit([1, 0]), unit([0, 1]), unit([1, 1])])
@@ -194,6 +196,8 @@ class TestUnitarySet:
     def test_rejects_non_unit_rows(self):
         with pytest.raises(ValueError):
             UnitarySet([[1.0, 0.0], [0.0, 0.5]])
+        with pytest.raises(ValueError, match="vector 0 has norm"):
+            UnitarySet([[math.nan, 0.0], [0.0, 1.0]])
 
     def test_bits(self):
         assert UnitarySet(np.eye(4, dtype=complex)).bits == 2
@@ -203,6 +207,8 @@ class TestLevelSet:
     def test_power_constraint_enforced(self):
         with pytest.raises(ValueError):
             LevelSet([1.0, 2.0], sigma2_design=0.1)
+        with pytest.raises(ValueError, match="unit power"):
+            LevelSet([math.nan], sigma2_design=0.5)
 
     def test_strictly_increasing_enforced(self):
         a = math.sqrt(1.0)
@@ -229,20 +235,22 @@ class TestLevelSet:
 class TestMultiLevelConstellation:
     def test_index_map_is_a_bijection(self, small_constellation):
         c = small_constellation
+        V = c.point_vectors()
         seen = set()
         for idx in range(c.size):
-            p = c.point(idx)
             n, j = divmod(idx, c.directions.size)
-            assert p.amplitude == c.levels.amplitudes[n]
-            np.testing.assert_array_equal(p.direction, c.directions.vectors[j])
-            seen.add((p.amplitude, p.direction.tobytes()))
+            alpha, v = c.levels.amplitudes[n], c.directions.vectors[j]
+            np.testing.assert_array_equal(V[idx], alpha * v)
+            seen.add(V[idx].tobytes())
         assert len(seen) == c.size == 4
 
     def test_point_vectors_matches_point(self, small_constellation):
+        # row n * N_dirs + j is exactly amplitude n times direction j
         c = small_constellation
         V = c.point_vectors()
-        for idx in range(c.size):
-            np.testing.assert_allclose(V[idx], c.point(idx).vector(), atol=0)
+        for n, alpha in enumerate(c.levels.amplitudes):
+            for j, v in enumerate(c.directions.vectors):
+                np.testing.assert_array_equal(V[n * c.directions.size + j], alpha * v)
 
     def test_mean_energy_is_one(self, small_constellation):
         V = small_constellation.point_vectors()
@@ -271,26 +279,22 @@ class TestKlFull:
     def test_same_direction_energy_pair(self):
         # ||s_i||^2 = 1 against ||s_k||^2 = 3 at sigma2 = 1: pure energy term
         v = canonical_direction(2)
-        d = kl_full(SignalPoint(1.0, v), SignalPoint(math.sqrt(3.0), v), 1.0)
+        d = kl_full(1.0 * v, math.sqrt(3.0) * v, 1.0)
         assert d == pytest.approx(D2_HALF, abs=1e-15)
 
     def test_orthogonal_unit_energy_pair(self):
         e0, e1 = np.eye(2, dtype=complex)
-        d = kl_full(SignalPoint(1.0, e0), SignalPoint(1.0, e1), 1.0)
+        d = kl_full(e0, e1, 1.0)
         assert d == pytest.approx(0.5, abs=1e-15)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            kl_full(
-                SignalPoint(1.0, canonical_direction(2)),
-                SignalPoint(1.0, canonical_direction(3)),
-                1.0,
-            )
+            kl_full(canonical_direction(2), canonical_direction(3), 1.0)
 
     def test_nonnegative_on_bulk_random_pairs(self, rng):
         # 10^4 pairs via the vectorized pairwise matrix
         K = 3
-        pts = np.array([random_point(rng, K).vector() for _ in range(101)])
+        pts = np.array([random_point(rng, K) for _ in range(101)])
         mat = pairwise_kl_matrix(pts, 0.2)
         assert mat.shape == (101, 101)
         assert np.all(mat >= 0.0)
@@ -298,7 +302,7 @@ class TestKlFull:
 
     def test_pairwise_matrix_matches_scalar_evaluation(self, rng):
         pts = [random_point(rng, 2) for _ in range(5)]
-        mat = pairwise_kl_matrix(np.array([p.vector() for p in pts]), 0.4)
+        mat = pairwise_kl_matrix(np.array(pts), 0.4)
         for i in range(5):
             for k in range(5):
                 if i == k:
@@ -338,7 +342,7 @@ class TestKlFull:
                 with mpmath.workdps(60):
                     x = (1 + mpmath.mpf(s) ** 2) / 2
                     exact = float(x - 1 - mpmath.log(x))
-                got = kl_full(SignalPoint(s, [1.0]), SignalPoint(1.0, [1.0]), 1.0)
+                got = kl_full([s], [1.0], 1.0)
                 mat = pairwise_kl_matrix([[s], [1.0]], 1.0)
                 for value in (got, mat[0, 1]):
                     worst = max(worst, abs(value - exact) / exact)
@@ -369,7 +373,7 @@ class TestKlDecomposed:
         a_k, a_i = rng.uniform(0.05, 2.0, size=2)
         sigma2 = rng.uniform(0.01, 2.0)
         d1, d2 = kl_terms(a_k, v_k, a_i, v_i, sigma2)
-        whole = kl_full(SignalPoint(a_i, v_i), SignalPoint(a_k, v_k), sigma2)
+        whole = kl_full(a_i * v_i, a_k * v_k, sigma2)
         assert d1 >= 0.0 and d2 >= 0.0
         assert d1 + d2 == pytest.approx(whole, abs=1e-10)
 
@@ -515,6 +519,22 @@ class TestSerialization:
         path.write_text("2 2 2 1.0\n1\n")
         with pytest.raises(FileFormatError):
             load_constellation(path)
+
+    @pytest.mark.parametrize(
+        "load, text, line",
+        [
+            (load_unitary, "2 2\n1 0 0 0\nnan 0 1 0\n", ":3"),
+            (load_constellation, "2 1 2 1.0\n1\n1 0 0 0\n0 0 nan 0\n", ":4"),
+            (load_constellation, "2 1 2 1.0\nnan\n1 0 0 0\n0 0 1 0\n", ": mean squared"),
+        ],
+        ids=["codebook-vector", "constellation-vector", "constellation-amplitude"],
+    )
+    def test_nan_decimal_rejected(self, tmp_path, load, text, line):
+        # a NaN norm or power deviates by NaN, which no tolerance check passes
+        path = tmp_path / "c.txt"
+        path.write_text(text)
+        with pytest.raises(FileFormatError, match=re.escape(f"c.txt{line}")):
+            load(path)
 
 
 class TestLayoutBytes:

@@ -90,7 +90,7 @@ class TestDetection:
         params = ChannelParams(M=48, K=2, sigma2=1e-6)
         rng = np.random.Generator(np.random.Philox(key=np.array([3, 0], np.uint64)))
         for idx in range(designed_c2.size):
-            Y = simulate_block(designed_c2.point(idx), params, rng)
+            Y = simulate_block(designed_c2.point_vectors()[idx], params, rng)
             assert detect_joint(Y, designed_c2, params.sigma2) == idx
             assert detect_two_stage(Y, designed_c2, params.sigma2) == idx
 
@@ -98,7 +98,7 @@ class TestDetection:
         params = ChannelParams(M=48, K=2, sigma2=1e-6)
         rng = np.random.Generator(np.random.Philox(key=np.array([4, 0], np.uint64)))
         for idx in range(onoff_c2.size):
-            Y = simulate_block(onoff_c2.point(idx), params, rng)
+            Y = simulate_block(onoff_c2.point_vectors()[idx], params, rng)
             assert detect_two_stage(Y, onoff_c2, params.sigma2) == idx
 
     def test_joint_equals_two_stage_on_noisy_batch(self, designed_c2, rng):

@@ -12,7 +12,6 @@ from klconst import (
     LevelSet,
     PilotQamScheme,
     SerEstimate,
-    SignalPoint,
     UnitarySet,
     allocate_bits,
     canonical_direction,
@@ -58,9 +57,9 @@ KL_CASES = [(1, 3), (2, 1), (2, 4), (3, 2), (4, 8)]
 
 def kl_case(K, M):
     rng = np.random.default_rng(100 * K + M)
-    s_i = SignalPoint(1.1, random_unit_direction(rng, K))
-    s_k = SignalPoint(0.6, random_unit_direction(rng, K))
-    return s_i, s_k, ChannelParams(M=M, K=K, sigma2=0.35)
+    x_i = 1.1 * random_unit_direction(rng, K)
+    x_k = 0.6 * random_unit_direction(rng, K)
+    return x_i, x_k, ChannelParams(M=M, K=K, sigma2=0.35)
 
 
 def b_transpose(x, sigma2):
@@ -81,14 +80,13 @@ def log_ratio_terms(x_i, x_k, sigma2):
     return c_i, c_k, math.log(sigma2 + e_i) - math.log(sigma2 + e_k), H
 
 
-def a_formed_kl(s_i, s_k, params, samples, seed):
+def a_formed_kl(x_i, x_k, params, samples, seed):
     """The KL estimate with A = R B^T formed by _gram_root on substreams
     keyed as kl_mc_estimate keys its own, and with the same accumulation:
     (estimate, std_error).  It draws the Bartlett factors of the SER path,
     not kl_mc_estimate's two gammas a sample, so the two agree in law only.
     """
     sigma2, M = params.sigma2, params.M
-    x_i, x_k = s_i.vector(), s_k.vector()
     c_i, c_k, log_det_ratio, _ = log_ratio_terms(x_i, x_k, sigma2)
     total = total_sq = 0.0
     for b, n in enumerate(_substreams(samples)):
@@ -111,7 +109,7 @@ def designed_c2():
 
 class TestSimulateBlock:
     def test_shape_and_determinism(self):
-        s = SignalPoint(1.0, canonical_direction(3))
+        s = canonical_direction(3)
         params = ChannelParams(M=5, K=3, sigma2=0.2)
         a = simulate_block(s, params, philox(7))
         b = simulate_block(s, params, philox(7))
@@ -119,14 +117,14 @@ class TestSimulateBlock:
         np.testing.assert_array_equal(a, b)
 
     def test_zero_point_low_noise_vanishes(self):
-        s = SignalPoint(0.0, canonical_direction(2))
+        s = 0.0 * canonical_direction(2)
         params = ChannelParams(M=4, K=2, sigma2=1e-12)
         Y = simulate_block(s, params, philox(1))
         assert np.abs(Y).max() < 1e-4
 
     def test_frobenius_moment_oracle(self):
         # E ||Y||^2_F / M = ||s||^2 + K sigma2; checked over 10^5 blocks
-        s = SignalPoint(1.1, SignalPoint(1.0, canonical_direction(2)).direction)
+        s = 1.1 * canonical_direction(2)
         params = ChannelParams(M=2, K=2, sigma2=0.3)
         target = 1.1**2 + 2 * 0.3
         rng = philox(123)
@@ -138,7 +136,7 @@ class TestSimulateBlock:
         assert abs(samples.mean() - target) < 3 * se
 
     def test_block_length_mismatch_rejected(self):
-        s = SignalPoint(1.0, canonical_direction(2))
+        s = canonical_direction(2)
         with pytest.raises(ValueError):
             simulate_block(s, ChannelParams(M=2, K=3, sigma2=0.1), philox(0))
 
@@ -166,7 +164,7 @@ class TestGramSampler:
         # Gram matrices: Wilson 95% intervals must overlap at small M
         params = ChannelParams(M=8, K=2, sigma2=0.5)
         trials = 20_000
-        points = [designed_c2.point(i) for i in range(designed_c2.size)]
+        points = designed_c2.point_vectors()
         rng = philox(880)
         sent = rng.integers(0, designed_c2.size, size=trials)
         Y = np.stack([simulate_block(points[i], params, rng) for i in sent])
@@ -294,20 +292,20 @@ class TestStreams:
 
 class TestKlMcEstimate:
     def test_identical_points_give_exact_zero(self):
-        s = SignalPoint(0.9, canonical_direction(2))
+        s = 0.9 * canonical_direction(2)
         params = ChannelParams(M=4, K=2, sigma2=0.3)
         est = kl_mc_estimate(s, s, params, 5000, seed=0)
         assert est.estimate == 0.0
         assert est.std_error == 0.0
 
     def test_identical_points_give_exact_zero_when_m_below_k(self):
-        s = SignalPoint(1.2, canonical_direction(4))
+        s = 1.2 * canonical_direction(4)
         est = kl_mc_estimate(s, s, ChannelParams(M=2, K=4, sigma2=0.3), 3000, seed=1)
         assert est.estimate == 0.0
 
     def test_identical_points_give_exact_zero_for_a_general_direction(self):
         v = random_unit_direction(np.random.default_rng(35), 3)
-        s = SignalPoint(0.8, v)
+        s = 0.8 * v
         est = kl_mc_estimate(s, s, ChannelParams(M=5, K=3, sigma2=0.3), 5000, seed=4)
         assert est.estimate == 0.0
         assert est.std_error == 0.0
@@ -317,8 +315,8 @@ class TestKlMcEstimate:
         # on the Gram draws of _gram_root, tr(W H) = sum_j lambda_j ||R u_j||^2
         # over the eigenpairs of H, and R u = A (B^T)^-1 u; every eigenvalue
         # but lambda_+- is ~0, so their two terms give each sample
-        s_i, s_k, params = kl_case(K, M)
-        sigma2, x_i, x_k = params.sigma2, s_i.vector(), s_k.vector()
+        x_i, x_k, params = kl_case(K, M)
+        sigma2 = params.sigma2
         c_i, c_k, log_det_ratio, H = log_ratio_terms(x_i, x_k, sigma2)
         (lam_plus, lam_minus), ldr = _log_ratio_law(x_i, x_k, sigma2)
         assert ldr == log_det_ratio
@@ -347,22 +345,22 @@ class TestKlMcEstimate:
         # their own draws, must show it.  At 200 000 samples a sample SD is
         # off by sqrt((kurtosis - 1)/(4 n)) <= 0.32% relative (kurtosis <= 9,
         # the exponential's at M = 1), so 2% is over 6 of those
-        s_i, s_k, params = kl_case(K, M)
-        *_, H = log_ratio_terms(s_i.vector(), s_k.vector(), params.sigma2)
+        x_i, x_k, params = kl_case(K, M)
+        *_, H = log_ratio_terms(x_i, x_k, params.sigma2)
         ev = np.linalg.eigvalsh(H)
         # at K = 1 the one eigenvalue is lambda_+ or lambda_-, the other 0
         sd = math.sqrt((min(ev[0], 0.0) ** 2 + max(ev[-1], 0.0) ** 2) / M)
         samples = 200_000
-        est = kl_mc_estimate(s_i, s_k, params, samples, seed=31)
-        _, se = a_formed_kl(s_i, s_k, params, samples, seed=31)
+        est = kl_mc_estimate(x_i, x_k, params, samples, seed=31)
+        _, se = a_formed_kl(x_i, x_k, params, samples, seed=31)
         assert math.sqrt(samples) * est.std_error == pytest.approx(sd, rel=0.02)
         assert math.sqrt(samples) * se == pytest.approx(sd, rel=0.02)
 
     def test_matches_closed_form_within_3_se(self, rng):
         v1 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         v2 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        s_i = SignalPoint(1.2, v1 / np.linalg.norm(v1))
-        s_k = SignalPoint(0.7, v2 / np.linalg.norm(v2))
+        s_i = 1.2 * (v1 / np.linalg.norm(v1))
+        s_k = 0.7 * (v2 / np.linalg.norm(v2))
         params = ChannelParams(M=4, K=2, sigma2=0.25)
         est = kl_mc_estimate(s_i, s_k, params, 100_000, seed=17)
         closed = kl_full(s_i, s_k, params.sigma2)
@@ -370,15 +368,15 @@ class TestKlMcEstimate:
 
     def test_same_direction_pair_matches_energy_term(self):
         v = canonical_direction(2)
-        s_i, s_k = SignalPoint(1.3, v), SignalPoint(0.6, v)
+        s_i, s_k = 1.3 * v, 0.6 * v
         params = ChannelParams(M=4, K=2, sigma2=0.4)
         est = kl_mc_estimate(s_i, s_k, params, 100_000, seed=23)
         d2 = _kl_energy(1.3**2, 0.6**2, 0.4)
         assert abs(est.estimate - d2) < 3 * est.std_error
 
     def test_deterministic_for_a_seed(self):
-        s_i = SignalPoint(1.0, canonical_direction(2))
-        s_k = SignalPoint(0.5, canonical_direction(2))
+        s_i = canonical_direction(2)
+        s_k = 0.5 * canonical_direction(2)
         params = ChannelParams(M=2, K=2, sigma2=0.5)
         a = kl_mc_estimate(s_i, s_k, params, 3000, seed=9)
         b = kl_mc_estimate(s_i, s_k, params, 3000, seed=9)
