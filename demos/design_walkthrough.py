@@ -33,11 +33,10 @@ for snr_db in (0.0, 5.0, 15.0):
     for row in outcome.per_allocation_table:
         mark = " <- chosen" if row.l_alpha == outcome.l_alpha else ""
         r = f"{row.r0:.6f}" if row.r0 is not None else "     -"
-        a = f"{row.alpha0:.6f}" if row.alpha0 is not None else "     -"
-        print(f"  {row.l_alpha:7d}  {row.min_kl:.6f}  {r:>10s}  {a:>8s}{mark}")
+        print(f"  {row.l_alpha:7d}  {row.min_kl:.6f}  {r:>10s}  {row.alpha0:8.6f}{mark}")
 
     c = outcome.constellation
-    amps = c.levels.amplitudes
+    amps = c.amplitudes
     brute, pair = min_kl_bruteforce(c, params.sigma2)
     print(f"  amplitudes: {np.array2string(amps, precision=4)}")
     print(f"  exhaustive check: min KL over all {c.size}^2 pairs = {brute:.6f} "

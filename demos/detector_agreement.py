@@ -25,7 +25,7 @@ from klconst import (
 params = ChannelParams.from_snr_db(M=32, K=2, snr_db=5.0)
 library = library_codebooks(2, range(7), seed=0)
 c = allocate_bits(6, params.sigma2, library).constellation
-print(f"constellation: {c.levels.size} levels x {c.directions.size} directions, "
+print(f"constellation: {c.amplitudes.size} levels x {c.directions.size} directions, "
       f"{c.size} points")
 
 # one Y per trial, drawn with the true channel statistics

@@ -12,7 +12,6 @@ the ordering is still unambiguous at low SNR.
 
 from klconst import (
     ChannelParams,
-    LevelSet,
     MultiLevelConstellation,
     PilotQamScheme,
     allocate_bits,
@@ -34,7 +33,7 @@ for snr_db in (-2.0, 2.0, 6.0, 10.0):
     params = ChannelParams.from_snr_db(M, K, snr_db)
     outcome = allocate_bits(L_S, params.sigma2, library)
     multi = estimate_ser(outcome.constellation, params, TRIALS, seed=SEED)
-    one = MultiLevelConstellation(LevelSet([1.0], params.sigma2), library[L_S])
+    one = MultiLevelConstellation([1.0], params.sigma2, library[L_S])
     uni = estimate_ser(one, params, TRIALS, seed=SEED)
     pilot = pilot_qam_run(scheme, params, TRIALS, seed=SEED)
     print(

@@ -46,7 +46,6 @@ import numpy as np
 from .core import (
     ChannelParams,
     FileFormatError,
-    LevelSet,
     MultiLevelConstellation,
     _sigma2_at,
     kl_full,
@@ -309,10 +308,6 @@ def _build_library(cfg, sizes):
     return lib
 
 
-def _one_level(directions, sigma2):
-    return MultiLevelConstellation(LevelSet([1.0], sigma2), directions)
-
-
 # ---------------------------------------------------------------------------
 # modes
 # ---------------------------------------------------------------------------
@@ -377,9 +372,8 @@ def run_ser_sweep(cfg):
                 est = estimate_ser(outcome.constellation, params, cfg.trials, cfg.seed)
                 l_alpha = str(outcome.l_alpha)
             elif scheme == "unitary":
-                est = estimate_ser(
-                    _one_level(lib[cfg.l_s], sigma2), params, cfg.trials, cfg.seed
-                )
+                one_level = MultiLevelConstellation([1.0], sigma2, lib[cfg.l_s])
+                est = estimate_ser(one_level, params, cfg.trials, cfg.seed)
                 l_alpha = "0"
             else:
                 est = pilot_qam_run(pilot, params, cfg.trials, cfg.seed)

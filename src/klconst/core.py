@@ -23,9 +23,10 @@ energies; the multi-level design machinery elsewhere in this package
 maximizes the minimum of these distances over a constellation.
 
 This module holds the domain containers (channel parameters, direction
-sets, amplitude level sets and their Cartesian product), the KL distance
-with its direction and energy terms, a brute-force minimum-KL scan, and the
-plain-text serialization format shared with the codebook loader.
+sets, and constellations: amplitude levels times a direction set), the KL
+distance with its direction and energy terms, a brute-force minimum-KL
+scan, and the plain-text serialization format shared with the codebook
+loader.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ import numpy as np
 __all__ = [
     "ChannelParams",
     "UnitarySet",
-    "LevelSet",
     "MultiLevelConstellation",
     "FileFormatError",
     "canonical_direction",
@@ -54,7 +54,7 @@ __all__ = [
 UNIT_NORM_TOL = 1e-12
 LOAD_NORM_TOL = 1e-6
 
-# Power / chain tolerances for level sets and constellations.
+# Power / chain tolerances for the amplitude levels of a constellation.
 POWER_TOL = 1e-9
 CHAIN_RTOL = 1e-9
 # Every check against these tolerances reads "fail unless deviation <= tol",
@@ -197,12 +197,17 @@ class UnitarySet:
         if V.ndim != 2 or V.shape[0] < 1 or V.shape[1] < 1:
             raise ValueError("vectors must form a non-empty (N, K) complex array")
         self._bits = _pow2_bits(V.shape[0], "unitary set cardinality")
+        bad = ~np.isfinite(V).all(axis=1)
+        if bad.any():
+            raise ValueError(
+                f"vectors must have finite entries, got one in vector {int(np.argmax(bad))}"
+            )
         norms = np.linalg.norm(V, axis=1)
         worst = int(np.argmax(np.abs(norms - 1.0)))
         if not abs(norms[worst] - 1.0) <= UNIT_NORM_TOL:
             raise ValueError(
-                f"vector {worst} has norm {norms[worst]!r}, deviating from 1 "
-                f"by more than {UNIT_NORM_TOL}"
+                f"vector {worst} has norm {float(norms[worst])!r}, deviating "
+                f"from 1 by more than {UNIT_NORM_TOL}"
             )
         V.flags.writeable = False
         self.vectors = V
@@ -272,79 +277,45 @@ def _check_level_rows(a, sigma2):
             )
 
 
-class LevelSet:
-    """Ordered amplitude levels alpha_0 < ... < alpha_{N-1} of a design.
-
-    Levels always satisfy the average power constraint mean(alpha^2) = 1
-    (within 1e-9).  For two or more levels the noise-shifted energies must
-    form a geometric chain, sigma2 + alpha_i^2 = (sigma2 + alpha_0^2) *
-    ratio^i, with the ratio taken from the two lowest levels and checked
-    at every level at construction; ``sigma2_design`` records the noise
-    variance the chain was built for.
-    """
-
-    def __init__(self, amplitudes, sigma2_design):
-        sigma2 = _check_sigma2(sigma2_design)
-        a = np.array(amplitudes, dtype=float)
-        if a.ndim != 1 or a.size == 0:
-            raise ValueError("amplitudes must be a non-empty 1-D real array")
-        self._bits = _pow2_bits(a.size, "level set cardinality")
-        _check_level_rows(a[None, :], sigma2)
-        a.flags.writeable = False
-        self.amplitudes = a
-        self.sigma2_design = sigma2
-
-    @property
-    def ratio(self):
-        """Common ratio (sigma2 + alpha_1^2) / (sigma2 + alpha_0^2) of the
-        chain; None for a single level."""
-        if self.amplitudes.size == 1:
-            return None
-        return float(_chain_ratio(self.amplitudes, self.sigma2_design))
-
-    @property
-    def size(self):
-        return self.amplitudes.size
-
-    @property
-    def bits(self):
-        """Level bits l_alpha = log2(cardinality)."""
-        return self._bits
-
-    def __repr__(self):
-        return (
-            f"LevelSet(size={self.size}, ratio={self.ratio}, "
-            f"sigma2_design={self.sigma2_design:.6g})"
-        )
+def _levels(amplitudes, sigma2):
+    # amplitudes as a read-only array of one level set designed for sigma2:
+    # 1-D, a power-of-two count, and passing _check_level_rows
+    a = np.array(amplitudes, dtype=float)
+    if a.ndim != 1 or a.size == 0:
+        raise ValueError("amplitudes must be a non-empty 1-D real array")
+    _pow2_bits(a.size, "level set cardinality")
+    _check_level_rows(a[None, :], sigma2)
+    a.flags.writeable = False
+    return a
 
 
 class MultiLevelConstellation:
-    """Cartesian product of a level set and a direction set.
+    """Cartesian product of amplitude levels and a direction set.
+
+    ``amplitudes`` are the ordered levels alpha_0 < ... < alpha_{N-1}, a
+    power-of-two count with mean(alpha^2) = 1; for two or more levels the
+    noise-shifted energies sigma2 + alpha_i^2 form a geometric chain at
+    ``sigma2_design``, the noise variance the levels were designed for.
 
     Point index = n * 2^l_v + j maps level n and direction j with the level
     bits in the high-order positions; the map is a bijection onto the
     product.  The mean energy over all points is mean(alpha^2) times the
-    mean squared direction norm, so the power check of the level set and
-    the unit-norm check of the direction set already hold it at 1.
+    mean squared direction norm, so the power check of the levels and the
+    unit-norm check of the directions already hold it at 1.
     """
 
-    def __init__(self, levels, directions):
-        if not isinstance(levels, LevelSet):
-            raise TypeError("levels must be a LevelSet")
+    def __init__(self, amplitudes, sigma2_design, directions):
+        self.sigma2_design = _check_sigma2(sigma2_design)
+        self.amplitudes = _levels(amplitudes, self.sigma2_design)
         if not isinstance(directions, UnitarySet):
             raise TypeError("directions must be a UnitarySet")
-        if levels.amplitudes[0] == 0.0 and directions.size > 1:
+        if self.amplitudes[0] == 0.0 and directions.size > 1:
             raise ValueError(
                 "a zero level is only representable with a single canonical "
                 "direction (distinct directions would duplicate the origin)"
             )
-        self.levels = levels
         self.directions = directions
         self._vectors = None
-
-    @property
-    def sigma2_design(self):
-        return self.levels.sigma2_design
 
     @property
     def K(self):
@@ -352,12 +323,12 @@ class MultiLevelConstellation:
 
     @property
     def size(self):
-        return self.levels.size * self.directions.size
+        return self.amplitudes.size * self.directions.size
 
     @property
     def bits(self):
         """Total bits l_s = l_alpha + l_v."""
-        return self.levels.bits + self.directions.bits
+        return self.amplitudes.size.bit_length() - 1 + self.directions.bits
 
     def point_vectors(self):
         """All transmit blocks stacked as a (size, K) array, index order.
@@ -365,8 +336,8 @@ class MultiLevelConstellation:
         The array is computed once and cached; it is read-only.
         """
         if self._vectors is None:
-            amps = np.repeat(self.levels.amplitudes, self.directions.size)
-            dirs = np.tile(self.directions.vectors, (self.levels.size, 1))
+            amps = np.repeat(self.amplitudes, self.directions.size)
+            dirs = np.tile(self.directions.vectors, (self.amplitudes.size, 1))
             S = amps[:, None] * dirs
             S.flags.writeable = False
             self._vectors = S
@@ -374,7 +345,7 @@ class MultiLevelConstellation:
 
     def __repr__(self):
         return (
-            f"MultiLevelConstellation(l_alpha={self.levels.bits}, "
+            f"MultiLevelConstellation(l_alpha={self.bits - self.directions.bits}, "
             f"l_v={self.directions.bits}, K={self.K})"
         )
 
@@ -471,6 +442,8 @@ def pairwise_kl_matrix(points, sigma2):
     S = np.asarray(points, dtype=complex)
     if S.ndim != 2 or S.shape[0] < 1:
         raise ValueError("points must be a non-empty (n, K) array")
+    if not np.isfinite(S).all():
+        raise ValueError("points must have finite entries")
     E = np.real(np.einsum("nk,nk->n", S.conj(), S))
     cross = np.abs(S @ S.conj().T) ** 2
     out = _kl_direction(E[None, :], np.outer(E, E) - cross, sigma2)
@@ -614,8 +587,8 @@ def save_constellation(c, path):
     amplitude per line, then one direction vector per line (2K decimals,
     re/im interleaved).
     """
-    header = f"{c.K} {c.levels.size} {c.directions.size} {c.sigma2_design:.17g}"
-    write_layout(path, header, c.levels.amplitudes.tolist(), c.directions)
+    header = f"{c.K} {c.amplitudes.size} {c.directions.size} {c.sigma2_design:.17g}"
+    write_layout(path, header, c.amplitudes.tolist(), c.directions)
 
 
 def load_constellation(path):
@@ -627,7 +600,6 @@ def load_constellation(path):
     """
 
     def build(fields, amps, V):
-        levels = LevelSet(amps, fields["sigma2_design"])
-        return MultiLevelConstellation(levels, UnitarySet(V))
+        return MultiLevelConstellation(amps, fields["sigma2_design"], UnitarySet(V))
 
     return read_layout(path, "K N_levels N_directions sigma2_design", build)

@@ -81,7 +81,7 @@ def _direction_scores(G, F):
 
 
 def _level_terms(constellation, sigma2, M):
-    a2 = constellation.levels.amplitudes**2
+    a2 = constellation.amplitudes**2
     coef = a2 / (sigma2 * (sigma2 + a2))
     penalty = M * np.log(sigma2 + a2)
     return coef, penalty
@@ -97,6 +97,8 @@ def _check_blocks(Y, constellation, sigma2):
         )
     if Y.shape[-2] < 1:
         raise ValueError("Y must have at least one antenna row")
+    if not np.isfinite(Y).all():
+        raise ValueError("Y must have finite entries")
     return Y, _check_sigma2(sigma2)
 
 

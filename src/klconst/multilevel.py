@@ -49,7 +49,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    LevelSet,
     MultiLevelConstellation,
     UnitarySet,
     _chain_ratio,
@@ -58,6 +57,7 @@ from .core import (
     _count,
     _kl_direction,
     _kl_energy,
+    _levels,
 )
 
 __all__ = [
@@ -357,17 +357,19 @@ def build_level_set(res, sigma2, l_alpha):
 
     alpha_0 is the result's base amplitude and each higher level is one
     _next_energy step up, alpha_{i+1}^2 = alpha_i^2 + d (sigma2 + alpha_i^2)
-    with d = res.d, for 2^l_alpha levels; l_alpha must be >= 1.
+    with d = res.d, for 2^l_alpha levels; l_alpha must be >= 1.  Returns
+    the read-only array, checked as MultiLevelConstellation checks it.
     """
     sigma2, n = _check_split(sigma2, l_alpha)
     if not isinstance(res, BisectionResult):
         raise TypeError("res must be a BisectionResult")
-    return LevelSet(_amplitudes(res.alpha0, res.d, sigma2, n), sigma2)
+    return _levels(_amplitudes(res.alpha0, res.d, sigma2, n), sigma2)
 
 
 @_strict
 def energy_only_levels(sigma2, l_alpha):
-    """Levels of the single-direction (all-energy) design.
+    """Amplitudes of the single-direction (all-energy) design, returned as
+    build_level_set returns them.
 
     The base level is exactly zero; with no intra pairs the objective is
     the consecutive inter distance alone, which grows with the ratio, so
@@ -382,7 +384,7 @@ def energy_only_levels(sigma2, l_alpha):
     d = None
     if n > 2:
         d = _solve_ratios(np.array([sigma2]), np.array([float(n)]), np.array([math.inf]))[0][0]
-    return LevelSet(_amplitudes(0.0, d, sigma2, n), sigma2)
+    return _levels(_amplitudes(0.0, d, sigma2, n), sigma2)
 
 
 @_strict
@@ -473,12 +475,11 @@ def allocate_bits(l_s, sigma2, unitary_library):
             AllocationRow(i, min_kl[i][p], r0[i][p], alpha0[i][p])
             for i in range(l_s + 1)
         ]
-        levels = LevelSet(amps[l_alpha][p], s2[p])
         outcomes.append(
             DesignOutcome(
                 l_alpha=l_alpha,
                 constellation=MultiLevelConstellation(
-                    levels, unitary_library[l_s - l_alpha]
+                    amps[l_alpha][p], s2[p], unitary_library[l_s - l_alpha]
                 ),
                 per_allocation_table=rows,
             )

@@ -290,6 +290,7 @@ def library_codebooks(K, l_vs, seed=0):
     each size is reproducible on its own, whichever other sizes are asked
     for.
     """
+    seed = _check_seed(seed)
     return {
         l_v: optimize_unitary(
             PackingConfig(K=K, cardinality=2**l_v, seed=(seed + l_v * 0x9E3779B97F4A7C15) % 2**64)

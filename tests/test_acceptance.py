@@ -14,7 +14,6 @@ import pytest
 
 from klconst import (
     ChannelParams,
-    LevelSet,
     MultiLevelConstellation,
     PackingConfig,
     PilotQamScheme,
@@ -34,7 +33,7 @@ from klconst import (
     pilot_qam_run,
     solve_bisection,
 )
-from klconst.core import _kl_energy
+from klconst.core import _chain_ratio, _kl_energy
 from test_multilevel import design_objective, grid_oracle_ratio, two_direction_set
 
 
@@ -54,22 +53,23 @@ def random_design(K, l_s, sigma2, rng):
     if K == 1:
         # directions carry nothing over one dimension; all bits go to levels
         return MultiLevelConstellation(
-            energy_only_levels(sigma2, l_s), UnitarySet(np.ones((1, 1)))
+            energy_only_levels(sigma2, l_s), sigma2, UnitarySet(np.ones((1, 1)))
         )
     l_alpha = int(rng.integers(0, min(2, l_s) + 1))
     l_v = l_s - l_alpha
     if l_v == 0:
         directions = UnitarySet(np.eye(1, K))
-        return MultiLevelConstellation(energy_only_levels(sigma2, l_alpha), directions)
+        levels = energy_only_levels(sigma2, l_alpha)
+        return MultiLevelConstellation(levels, sigma2, directions)
     V = crandn(rng, (2**l_v, K))
     V /= np.linalg.norm(V, axis=1, keepdims=True)
     directions = UnitarySet(V)
     if l_alpha == 0:
-        levels = LevelSet([1.0], sigma2)
+        levels = [1.0]
     else:
         res = solve_bisection(sigma2, l_alpha, directions.min_sq_dist)
         levels = build_level_set(res, sigma2, l_alpha)
-    return MultiLevelConstellation(levels, directions)
+    return MultiLevelConstellation(levels, sigma2, directions)
 
 
 @pytest.fixture(scope="module")
@@ -134,10 +134,9 @@ def test_03_bruteforce_matches_equalized_value(design_sweep, capsys):
     for sigma2, l_alpha, t_v, res in design_sweep:
         levels = build_level_set(res, sigma2, l_alpha)
         directions = two_direction_set(t_v)
-        c = MultiLevelConstellation(levels, directions)
+        c = MultiLevelConstellation(levels, sigma2, directions)
         brute, _ = min_kl_bruteforce(c, sigma2)
-        a = levels.amplitudes
-        equalized = _kl_energy(a[0] ** 2, a[1] ** 2, sigma2)
+        equalized = _kl_energy(levels[0] ** 2, levels[1] ** 2, sigma2)
         structural = design_objective(levels, directions.min_sq_dist, sigma2)
         worst = max(
             worst,
@@ -159,7 +158,7 @@ def test_04_amplitudes_locally_optimal(design_sweep, capsys):
         levels = build_level_set(res, sigma2, l_alpha)
         V = two_direction_set(t_v).vectors
         n = levels.size
-        base_sq = levels.amplitudes**2
+        base_sq = levels**2
         scale = min(1e-3, float(base_sq.min()) / 4.0)
 
         def spread_min(amps):
@@ -168,7 +167,7 @@ def test_04_amplitudes_locally_optimal(design_sweep, capsys):
             np.fill_diagonal(kl, np.inf)
             return float(kl.min())
 
-        base = spread_min(levels.amplitudes)
+        base = spread_min(levels)
         for _ in range(100):
             while True:
                 d = rng.normal(0.0, scale, size=n)
@@ -252,9 +251,7 @@ def test_08_multilevel_beats_baselines(library_k2_ls6, capsys):
     params = ChannelParams.from_snr_db(256, 2, -2.0)
     outcome = allocate_bits(6, params.sigma2, library_k2_ls6)
     multi = estimate_ser(outcome.constellation, params, trials, seed=808)
-    one_level = MultiLevelConstellation(
-        LevelSet([1.0], params.sigma2), library_k2_ls6[6]
-    )
+    one_level = MultiLevelConstellation([1.0], params.sigma2, library_k2_ls6[6])
     unitary = estimate_ser(one_level, params, trials, seed=808)
     pilot = pilot_qam_run(PilotQamScheme(2, 6), params, trials, seed=808)
     dt = time.perf_counter() - t0
@@ -274,13 +271,13 @@ def test_08_multilevel_beats_baselines(library_k2_ls6, capsys):
 def test_09_energy_only_closed_form(capsys):
     two = energy_only_levels(1.0, 1)
     exact = (
-        two.amplitudes[0] == 0.0
-        and two.amplitudes[1] == math.sqrt(2.0)
-        and abs(two.ratio - 3.0) <= math.ulp(3.0)
+        two[0] == 0.0
+        and two[1] == math.sqrt(2.0)
+        and abs(_chain_ratio(two, 1.0) - 3.0) <= math.ulp(3.0)
     )
     worst_pow = 0.0
     for l_alpha in (1, 2, 3, 4):
-        a = energy_only_levels(1.0, l_alpha).amplitudes
+        a = energy_only_levels(1.0, l_alpha)
         worst_pow = max(worst_pow, abs(float(a @ a) / a.size - 1.0))
     ok = exact and worst_pow <= 1e-9
     announce(

@@ -293,7 +293,7 @@ class TestDesignMode:
         assert [row.split(",")[0] for row in summary[1:]] == ["-100", "-80"]
         for idx in range(2):
             c = load_constellation(tmp_path / f"low_point{idx:02d}_constellation.txt")
-            assert abs(np.mean(c.levels.amplitudes**2) - 1.0) <= 1e-9
+            assert abs(np.mean(c.amplitudes**2) - 1.0) <= 1e-9
 
     @pytest.mark.parametrize(
         "snr_db,code", [(1600, 3), (-1600, 3), (1530, 0), (-1540, 0), (200, 0), (-200, 0)]
@@ -368,9 +368,9 @@ class TestDesignMode:
         assert len(codebooks) >= 2
         assert len(formatted) == len(codebooks)
         for c, path in saved:
-            header = f"{c.K} {c.levels.size} {c.directions.size} {c.sigma2_design:.17g}"
+            header = f"{c.K} {c.amplitudes.size} {c.directions.size} {c.sigma2_design:.17g}"
             assert Path(path).read_text() == per_element_layout(
-                header, c.levels.amplitudes, c.directions.vectors
+                header, c.amplitudes, c.directions.vectors
             )
 
 
@@ -563,7 +563,7 @@ class TestSerSweepMode:
         for row, (c, params, trials) in zip(rows, calls):
             assert (trials, params.M) == (int(row[9]), int(row[2]))
             assert params.sigma2 == klconst.core._sigma2_at(2, float(row[5]))
-            assert c.size == 2**2 and c.levels.size == 2 ** int(row[4])
+            assert c.size == 2**2 and c.amplitudes.size == 2 ** int(row[4])
 
     def test_snr_list_is_designed_in_one_call(self, tmp_path, monkeypatch):
         calls = []

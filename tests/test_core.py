@@ -14,7 +14,6 @@ import klconst
 from klconst import (
     ChannelParams,
     FileFormatError,
-    LevelSet,
     MultiLevelConstellation,
     UnitarySet,
     canonical_direction,
@@ -26,7 +25,13 @@ from klconst import (
     save_constellation,
     save_unitary,
 )
-from klconst.core import _format_vectors, _kl_direction, _kl_energy, write_layout
+from klconst.core import (
+    _chain_ratio,
+    _format_vectors,
+    _kl_direction,
+    _kl_energy,
+    write_layout,
+)
 
 # frozen with 40-digit arithmetic: x - ln x - 1 at x = 1/2
 D2_HALF = 0.19314718055994530942
@@ -84,7 +89,7 @@ def _count_cases():
     seed: call(value) passes value as the argument named name, every other
     argument fixed and valid."""
     params = ChannelParams(M=2, K=2, sigma2=0.5)
-    c = MultiLevelConstellation(LevelSet([1.0], 0.5), UnitarySet(np.eye(2, dtype=complex)))
+    c = MultiLevelConstellation([1.0], 0.5, UnitarySet(np.eye(2, dtype=complex)))
     s = canonical_direction(2)
     res = klconst.solve_bisection(0.5, 2, 0.5)
     lib = klconst.library_codebooks(2, range(3))
@@ -117,6 +122,14 @@ def test_counts_are_integers(entry):
     assert repr(call(np.float64(2))) == repr(call(2))
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_library_seed_is_checked(seed):
+    # the seed is checked before the per-size seeds are derived from it,
+    # which would wrap an out-of-range one mod 2^64
+    with pytest.raises(ValueError, match="seed must be"):
+        klconst.library_codebooks(2, [0, 1], seed=seed)
+
+
 @pytest.mark.parametrize(
     "block", [[1.0, 0.0, 0.0], [math.nan, 0.0], [1.0, complex(0.0, math.inf)]],
     ids=["wrong-length", "nan", "inf"],
@@ -140,11 +153,8 @@ def test_blocks_are_checked(entry, block):
 
 @pytest.fixture()
 def small_constellation():
-    levels = LevelSet(
-        [math.sqrt(0.5), math.sqrt(1.5)], sigma2_design=0.5
-    )
     dirs = UnitarySet(np.eye(2, dtype=complex))
-    return MultiLevelConstellation(levels, dirs)
+    return MultiLevelConstellation([math.sqrt(0.5), math.sqrt(1.5)], 0.5, dirs)
 
 
 # ---------------------------------------------------------------------------
@@ -194,42 +204,52 @@ class TestUnitarySet:
         assert UnitarySet([v, v]).min_sq_dist == 0.0
 
     def test_rejects_non_unit_rows(self):
-        with pytest.raises(ValueError):
+        # the norm prints as a plain float
+        with pytest.raises(ValueError, match=r"^vector 1 has norm 0\.5, deviating"):
             UnitarySet([[1.0, 0.0], [0.0, 0.5]])
-        with pytest.raises(ValueError, match="vector 0 has norm"):
-            UnitarySet([[math.nan, 0.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_rejects_non_finite_entries(self, bad):
+        # checked before any norm is taken, so no numpy warning comes first
+        msg = "^vectors must have finite entries, got one in vector 1$"
+        with pytest.raises(ValueError, match=msg):
+            UnitarySet([[1.0, 0.0], [bad, 0.0]])
 
     def test_bits(self):
         assert UnitarySet(np.eye(4, dtype=complex)).bits == 2
 
 
 class TestLevelSet:
+    """The amplitude checks of MultiLevelConstellation, over one direction."""
+
+    ONE = UnitarySet([canonical_direction(2)])
+
     def test_power_constraint_enforced(self):
         with pytest.raises(ValueError):
-            LevelSet([1.0, 2.0], sigma2_design=0.1)
+            MultiLevelConstellation([1.0, 2.0], 0.1, self.ONE)
         with pytest.raises(ValueError, match="unit power"):
-            LevelSet([math.nan], sigma2_design=0.5)
+            MultiLevelConstellation([math.nan], 0.5, self.ONE)
 
     def test_strictly_increasing_enforced(self):
         a = math.sqrt(1.0)
         with pytest.raises(ValueError):
-            LevelSet([a, a], sigma2_design=0.1)
+            MultiLevelConstellation([a, a], 0.1, self.ONE)
 
     def test_geometric_chain_enforced(self):
         # unit power and increasing, but the shifted energies 0.2, 0.6, 1.3,
         # 2.3 step by 3, 2.17 and 1.77; any two levels form a chain
         with pytest.raises(ValueError, match="geometric chain"):
-            LevelSet(np.sqrt([0.1, 0.5, 1.2, 2.2]), sigma2_design=0.1)
+            MultiLevelConstellation(np.sqrt([0.1, 0.5, 1.2, 2.2]), 0.1, self.ONE)
 
     def test_valid_chain_accepted(self):
         s2 = 0.25
         r = 2.0
         a0sq = 4 * (1 + s2) / (1 + r + r**2 + r**3) - s2
         amps = np.sqrt([(s2 + a0sq) * r**i - s2 for i in range(4)])
-        ls = LevelSet(amps, sigma2_design=s2)
-        assert ls.size == 4 and ls.bits == 2
-        assert ls.ratio == pytest.approx(r, rel=1e-12)
-        assert LevelSet([1.0], sigma2_design=s2).ratio is None
+        c = MultiLevelConstellation(amps, s2, self.ONE)
+        assert c.amplitudes.size == 4 and c.bits == 2
+        assert _chain_ratio(c.amplitudes, c.sigma2_design) == pytest.approx(r, rel=1e-12)
+        assert MultiLevelConstellation([1.0], s2, self.ONE).amplitudes.size == 1
 
 
 class TestMultiLevelConstellation:
@@ -239,7 +259,7 @@ class TestMultiLevelConstellation:
         seen = set()
         for idx in range(c.size):
             n, j = divmod(idx, c.directions.size)
-            alpha, v = c.levels.amplitudes[n], c.directions.vectors[j]
+            alpha, v = c.amplitudes[n], c.directions.vectors[j]
             np.testing.assert_array_equal(V[idx], alpha * v)
             seen.add(V[idx].tobytes())
         assert len(seen) == c.size == 4
@@ -248,7 +268,7 @@ class TestMultiLevelConstellation:
         # row n * N_dirs + j is exactly amplitude n times direction j
         c = small_constellation
         V = c.point_vectors()
-        for n, alpha in enumerate(c.levels.amplitudes):
+        for n, alpha in enumerate(c.amplitudes):
             for j, v in enumerate(c.directions.vectors):
                 np.testing.assert_array_equal(V[n * c.directions.size + j], alpha * v)
 
@@ -258,11 +278,11 @@ class TestMultiLevelConstellation:
         assert energy == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_level_needs_a_single_direction(self):
-        levels = LevelSet([0.0, math.sqrt(2.0)], sigma2_design=1.0)
+        levels = [0.0, math.sqrt(2.0)]
         with pytest.raises(ValueError):
-            MultiLevelConstellation(levels, UnitarySet(np.eye(2, dtype=complex)))
+            MultiLevelConstellation(levels, 1.0, UnitarySet(np.eye(2, dtype=complex)))
         # with one direction the on-off constellation is fine
-        c = MultiLevelConstellation(levels, UnitarySet([canonical_direction(2)]))
+        c = MultiLevelConstellation(levels, 1.0, UnitarySet([canonical_direction(2)]))
         assert c.size == 2
 
 
@@ -310,6 +330,12 @@ class TestKlFull:
                 assert mat[i, k] == pytest.approx(
                     kl_full(pts[i], pts[k], 0.4), rel=1e-12, abs=1e-12
                 )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_pairwise_matrix_rejects_non_finite_points(self, bad):
+        # as kl_full rejects a non-finite block, instead of NaN entries
+        with pytest.raises(ValueError, match="^points must have finite entries$"):
+            pairwise_kl_matrix([[bad], [1.0]], 1.0)
 
     def test_energy_term_far_below_x_equal_one(self):
         # E_i = 0 against E_k = 2 at sigma2 = 5e-17 (about 160 dB): x - 1
@@ -417,26 +443,20 @@ class TestLevelDistances:
 
 class TestMinKlBruteforce:
     def test_orthogonal_one_level_pair(self):
-        c = MultiLevelConstellation(
-            LevelSet([1.0], sigma2_design=1.0), UnitarySet(np.eye(2, dtype=complex))
-        )
+        c = MultiLevelConstellation([1.0], 1.0, UnitarySet(np.eye(2, dtype=complex)))
         value, pair = min_kl_bruteforce(c, 1.0)
         assert value == pytest.approx(0.5, abs=1e-15)
         assert pair == (0, 1)
 
     def test_duplicated_point_gives_zero(self):
         v = canonical_direction(2)
-        c = MultiLevelConstellation(
-            LevelSet([1.0], sigma2_design=1.0), UnitarySet([v, v])
-        )
+        c = MultiLevelConstellation([1.0], 1.0, UnitarySet([v, v]))
         value, pair = min_kl_bruteforce(c, 1.0)
         assert value == 0.0
         assert pair == (0, 1)
 
     def test_single_point_rejected(self):
-        c = MultiLevelConstellation(
-            LevelSet([1.0], sigma2_design=1.0), UnitarySet([canonical_direction(2)])
-        )
+        c = MultiLevelConstellation([1.0], 1.0, UnitarySet([canonical_direction(2)]))
         with pytest.raises(ValueError):
             min_kl_bruteforce(c, 1.0)
 
@@ -464,18 +484,15 @@ class TestSerialization:
     def test_round_trip_is_bit_near(self, tmp_path, rng):
         s2, r = 0.31, 2.0
         a0_sq = 2 * (1 + s2) / (1 + r) - s2
-        levels = LevelSet(
-            np.sqrt([a0_sq, (s2 + a0_sq) * r - s2]), sigma2_design=s2
-        )
         raw = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
         dirs = UnitarySet(raw / np.linalg.norm(raw, axis=1, keepdims=True))
-        c = MultiLevelConstellation(levels, dirs)
+        c = MultiLevelConstellation(np.sqrt([a0_sq, (s2 + a0_sq) * r - s2]), s2, dirs)
         path = tmp_path / "c.txt"
         save_constellation(c, path)
         back = load_constellation(path)
         assert back.K == 3
         np.testing.assert_allclose(
-            back.levels.amplitudes, c.levels.amplitudes, rtol=0, atol=1e-15
+            back.amplitudes, c.amplitudes, rtol=0, atol=1e-15
         )
         np.testing.assert_allclose(
             back.directions.vectors, c.directions.vectors, rtol=0, atol=1e-15
@@ -572,13 +589,14 @@ class TestLayoutBytes:
     @pytest.mark.parametrize("a0,size", [(-0.0, 1), (1e-5, 4), (1 / 3, 4)])
     def test_save_constellation(self, tmp_path, per_element_layout, a0, size):
         sigma2 = 0.1
-        levels = LevelSet([a0, math.sqrt(2 - a0 * a0)], sigma2)
-        c = MultiLevelConstellation(levels, UnitarySet(self.VECTORS[:size]))
+        c = MultiLevelConstellation(
+            [a0, math.sqrt(2 - a0 * a0)], sigma2, UnitarySet(self.VECTORS[:size])
+        )
         path = tmp_path / "c.txt"
         save_constellation(c, path)
         header = f"2 2 {size} 0.10000000000000001"
         assert path.read_text() == per_element_layout(
-            header, levels.amplitudes, self.VECTORS[:size]
+            header, c.amplitudes, self.VECTORS[:size]
         )
 
     def test_load_save_reproduces_the_file(self, tmp_path):

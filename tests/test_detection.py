@@ -7,7 +7,6 @@ import pytest
 
 from klconst import (
     ChannelParams,
-    LevelSet,
     MultiLevelConstellation,
     UnitarySet,
     allocate_bits,
@@ -31,8 +30,9 @@ def designed_c2():
 
 @pytest.fixture(scope="module")
 def onoff_c2():
-    levels = energy_only_levels(0.3, 2)
-    return MultiLevelConstellation(levels, UnitarySet([canonical_direction(2)]))
+    return MultiLevelConstellation(
+        energy_only_levels(0.3, 2), 0.3, UnitarySet([canonical_direction(2)])
+    )
 
 
 def random_blocks(rng, c, sigma2, M, count):
@@ -142,10 +142,9 @@ class TestTies:
         v = np.array([0.6, 0.8j])
         s2, r = 0.25, 2.0
         a0_sq = 2 * (1 + s2) / (1 + r) - s2
-        levels = LevelSet(
-            np.sqrt([a0_sq, (s2 + a0_sq) * r - s2]), sigma2_design=s2
+        c = MultiLevelConstellation(
+            np.sqrt([a0_sq, (s2 + a0_sq) * r - s2]), s2, UnitarySet([v, v])
         )
-        c = MultiLevelConstellation(levels, UnitarySet([v, v]))
         _, Y = random_blocks(rng, c, 0.25, M=4, count=100)
         a = detect_joint(Y, c, 0.25)
         b = detect_two_stage(Y, c, 0.25)
@@ -171,3 +170,18 @@ class TestValidation:
             for sigma2 in (0.0, -0.3, math.inf):
                 with pytest.raises(ValueError, match="sigma2"):
                     detect(Y, designed_c2, sigma2)
+
+    @pytest.mark.parametrize("detect", [detect_joint, detect_two_stage])
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_rejects_non_finite_blocks(self, designed_c2, rng, detect, bad):
+        # one NaN entry, or an all-inf block, is a ValueError naming Y
+        # rather than a decision for index 0
+        Y = rng.standard_normal((4, 2)) + 0j
+        if bad == "nan":
+            Y[1, 0] = math.nan
+        else:
+            Y[:] = math.inf
+        with pytest.raises(ValueError, match="^Y must have finite entries$"):
+            detect(Y, designed_c2, 0.3)
+        with pytest.raises(ValueError, match="^Y must have finite entries$"):
+            detect(np.stack([rng.standard_normal((4, 2)) + 0j, Y]), designed_c2, 0.3)

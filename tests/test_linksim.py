@@ -9,7 +9,6 @@ import pytest
 from klconst import (
     ChannelParams,
     MultiLevelConstellation,
-    LevelSet,
     PilotQamScheme,
     SerEstimate,
     UnitarySet,
@@ -215,9 +214,7 @@ class TestSerEstimate:
 
 class TestEstimateSer:
     def test_single_point_never_errs(self):
-        c = MultiLevelConstellation(
-            LevelSet([1.0], sigma2_design=0.2), UnitarySet([canonical_direction(2)])
-        )
+        c = MultiLevelConstellation([1.0], 0.2, UnitarySet([canonical_direction(2)]))
         est = estimate_ser(c, ChannelParams(M=2, K=2, sigma2=0.2), 500, seed=1)
         assert est.ser == 0.0 and est.errors == 0
 
@@ -261,7 +258,7 @@ class TestEstimateSer:
         V /= np.linalg.norm(V, axis=1, keepdims=True)
         params = ChannelParams.from_snr_db(M=M, K=K, snr_db=snr_db)
         amplitudes = [1.0] if n_levels == 1 else [0.5, math.sqrt(1.75)]
-        c = MultiLevelConstellation(LevelSet(amplitudes, params.sigma2), UnitarySet(V))
+        c = MultiLevelConstellation(amplitudes, params.sigma2, UnitarySet(V))
         assert estimate_ser(c, params, 5000, seed).errors == errors
 
 

@@ -19,7 +19,7 @@ from klconst import (
     pairwise_kl_matrix,
     solve_bisection,
 )
-from klconst.core import _kl_direction, _kl_energy
+from klconst.core import _chain_ratio, _kl_direction, _kl_energy
 
 # independent 40-digit bisection of the sigma2=0.1, l_alpha=1, t_v=1 case
 R0_REFERENCE = 7.0595276312347204
@@ -68,8 +68,8 @@ def two_direction_set(t_target):
     )
 
 
-def design_objective(levels, t_v, sigma2):
-    e = [a * a for a in levels.amplitudes.tolist()]
+def design_objective(amplitudes, t_v, sigma2):
+    e = [a * a for a in amplitudes.tolist()]
     # one direction has no intra pairs, and 0 * 0 * inf would be NaN
     best = math.inf
     if not math.isinf(t_v):
@@ -187,13 +187,12 @@ class TestExcess:
 class TestBuildLevelSet:
     def test_power_restatement_two_levels(self):
         res = solve_bisection(0.2, 1, 0.8)
-        ls = build_level_set(res, 0.2, 1)
-        assert np.mean(ls.amplitudes**2) == pytest.approx(1.0, abs=1e-9)
+        amps = build_level_set(res, 0.2, 1)
+        assert np.mean(amps**2) == pytest.approx(1.0, abs=1e-9)
 
     def test_consecutive_ratios_equalized(self):
         res = solve_bisection(0.05, 2, 0.5)
-        ls = build_level_set(res, 0.05, 2)
-        shifted = 0.05 + ls.amplitudes**2
+        shifted = 0.05 + build_level_set(res, 0.05, 2) ** 2
         ratios = shifted[1:] / shifted[:-1]
         np.testing.assert_allclose(ratios, res.r0, rtol=1e-9)
 
@@ -212,19 +211,19 @@ class TestBuildLevelSet:
 
 class TestEnergyOnlyLevels:
     def test_two_level_unit_noise_closed_form(self):
-        ls = energy_only_levels(1.0, 1)
-        np.testing.assert_array_equal(ls.amplitudes, [0.0, math.sqrt(2.0)])
+        amps = energy_only_levels(1.0, 1)
+        np.testing.assert_array_equal(amps, [0.0, math.sqrt(2.0)])
         # the ratio of the stored levels: sqrt(2)^2 rounds one ulp above 2
-        assert abs(ls.ratio - 3.0) <= math.ulp(3.0)
+        assert abs(_chain_ratio(amps, 1.0) - 3.0) <= math.ulp(3.0)
 
     def test_base_level_is_exactly_zero(self):
         for l_alpha in (1, 2, 3):
-            assert energy_only_levels(0.2, l_alpha).amplitudes[0] == 0.0
+            assert energy_only_levels(0.2, l_alpha)[0] == 0.0
 
     @pytest.mark.parametrize("l_alpha", [1, 2, 3, 4])
     def test_power_constraint(self, l_alpha):
-        ls = energy_only_levels(1.0, l_alpha)
-        assert np.mean(ls.amplitudes**2) == pytest.approx(1.0, abs=1e-9)
+        amps = energy_only_levels(1.0, l_alpha)
+        assert np.mean(amps**2) == pytest.approx(1.0, abs=1e-9)
 
     def test_ratio_matches_grid_oracle(self):
         # independent lattice scan on the power identity for 4 levels
@@ -248,12 +247,19 @@ class TestEnergyOnlyLevels:
         best = min(
             range(max(lo_j - 50, 1), hi_j + 51), key=lambda j: abs(diff(j))
         )
-        ls = energy_only_levels(sigma2, 2)
-        assert abs(ls.ratio - (1.0 + best * step)) < 1e-6
+        ratio = _chain_ratio(energy_only_levels(sigma2, 2), sigma2)
+        assert abs(ratio - (1.0 + best * step)) < 1e-6
 
     def test_rejects_zero_levels(self):
         with pytest.raises(ValueError):
             energy_only_levels(1.0, 0)
+
+    def test_levels_off_the_power_constraint_raise(self, monkeypatch):
+        # the built levels pass the constellation's checks before they are
+        # returned, so a chain off unit power raises here, not downstream
+        monkeypatch.setattr(multilevel, "_amplitudes", lambda *args: np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match="unit power"):
+            energy_only_levels(1.0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +271,8 @@ class TestAllocateBits:
     def test_high_snr_collapses_to_directions_only(self, library_k2_ls6):
         out = allocate_bits(6, 1e-4, library_k2_ls6)
         assert out.l_alpha == 0
-        levels = out.constellation.levels
-        assert levels.amplitudes.tolist() == [1.0] and levels.ratio is None
+        assert out.constellation.amplitudes.tolist() == [1.0]
+        assert out.per_allocation_table[0].r0 is None
 
     def test_low_snr_spends_bits_on_levels(self, library_k2_ls6):
         out = allocate_bits(6, 0.5, library_k2_ls6)
@@ -309,8 +315,8 @@ class TestAllocateBits:
         values = []
         for t_v in (0.05, 0.2, 0.5, 0.8, 1.0):
             res = solve_bisection(sigma2, l_alpha, t_v)
-            ls = build_level_set(res, sigma2, l_alpha)
-            values.append(design_objective(ls, t_v, sigma2))
+            amps = build_level_set(res, sigma2, l_alpha)
+            values.append(design_objective(amps, t_v, sigma2))
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
 
@@ -320,10 +326,9 @@ class TestEqualizationInvariant:
         sigma2 = 0.15
         dirs = two_direction_set(0.4)
         res = solve_bisection(sigma2, l_alpha, dirs.min_sq_dist)
-        ls = build_level_set(res, sigma2, l_alpha)
-        e = ls.amplitudes**2
+        e = build_level_set(res, sigma2, l_alpha) ** 2
         intra = _kl_direction(e[0], e[0] * e[0] * dirs.min_sq_dist, sigma2)
-        inters = [_kl_energy(e[i], e[i + 1], sigma2) for i in range(ls.size - 1)]
+        inters = [_kl_energy(e[i], e[i + 1], sigma2) for i in range(e.size - 1)]
         np.testing.assert_allclose(inters, inters[0], atol=1e-8)
         assert intra == pytest.approx(inters[0], abs=1e-8)
 
@@ -333,14 +338,14 @@ class TestLocalOptimality:
         sigma2 = 0.2
         dirs = two_direction_set(0.6)
         res = solve_bisection(sigma2, 2, dirs.min_sq_dist)
-        ls = build_level_set(res, sigma2, 2)
-        c = MultiLevelConstellation(ls, dirs)
+        levels = build_level_set(res, sigma2, 2)
+        c = MultiLevelConstellation(levels, sigma2, dirs)
         designed, _ = min_kl_bruteforce(c, sigma2)
         V = dirs.vectors
         for _ in range(20):
-            amps = ls.amplitudes * (1.0 + rng.uniform(-1e-3, 1e-3, ls.size))
+            amps = levels * (1.0 + rng.uniform(-1e-3, 1e-3, levels.size))
             amps = np.sort(amps) / math.sqrt(np.mean(amps**2))
-            pts = np.repeat(amps, V.shape[0])[:, None] * np.tile(V, (ls.size, 1))
+            pts = np.repeat(amps, V.shape[0])[:, None] * np.tile(V, (levels.size, 1))
             kl = pairwise_kl_matrix(pts, sigma2)
             np.fill_diagonal(kl, np.inf)
             assert kl.min() <= designed + 1e-8
@@ -394,7 +399,7 @@ class TestRegressionGrid:
             sigma2 = [ChannelParams.from_snr_db(1, K, snr_db).sigma2 for snr_db in grid]
             outcomes = allocate_bits(l_s, sigma2, libs[K])
             for snr_db, s2, out in zip(grid, sigma2, outcomes, strict=True):
-                amps = out.constellation.levels.amplitudes
+                amps = out.constellation.amplitudes
                 assert abs(np.mean(amps**2) - 1.0) <= 1e-9, (K, l_s, snr_db)
                 brute, _ = min_kl_bruteforce(out.constellation, s2)
                 assert out.min_kl == pytest.approx(brute, rel=1e-9), (K, l_s, snr_db)
@@ -416,7 +421,7 @@ class TestGridCalls:
         def bits(out):
             # repr round-trips every float, so equal strings are equal bits
             rows = [(r.l_alpha, r.min_kl, r.r0, r.alpha0) for r in out.per_allocation_table]
-            return out.l_alpha, repr(rows), out.constellation.levels.amplitudes.tobytes()
+            return out.l_alpha, repr(rows), out.constellation.amplitudes.tobytes()
 
         for sigma2, out in zip(grid, outcomes):
             assert bits(out) == bits(allocate_bits(6, sigma2, lib))
