@@ -23,8 +23,11 @@ pack-unitary
 
 Config files are flat `key = value` text; a line whose first non-blank
 character is `#` is a comment.  Lists are comma-separated (snr_db_list =
-0, 5, 10).  A mode accepts `mode` and the fields it reads (_FIELDS); any
-other field is a config error.  Direction codebooks are packed by
+0, 5, 10).  A mode accepts `mode` and the fields it reads; any other
+field is a config error.  The _FIELDS table holds each field's parser, the
+modes that read it and its default, and a parsed config carries `mode` and
+exactly the fields its mode reads, so reading another mode's field raises
+AttributeError.  Direction codebooks are packed by
 default (see klconst.unitary); unitary_library_<l_v> keys (design and
 ser-sweep) point individual sizes at codebook files instead.  Only the
 sizes a run uses and no file supplies are packed.
@@ -37,9 +40,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -56,6 +59,7 @@ from .multilevel import ALLOCATION_CSV_HEADER, allocate_bits
 from .unitary import (
     DEFAULT_ITERATIONS,
     DEFAULT_RESTARTS,
+    _L_S_MAX,
     PackingConfig,
     library_codebooks,
     load_unitary,
@@ -64,7 +68,7 @@ from .unitary import (
     save_unitary,
 )
 
-__all__ = ["ConfigError", "ExperimentConfig", "parse_config", "run", "main"]
+__all__ = ["ConfigError", "parse_config", "main"]
 
 MODES = ("design", "ser-sweep", "kl-check", "pack-unitary")
 SCHEMES = ("multilevel", "unitary", "pilot-qam")
@@ -78,25 +82,6 @@ _LIBRARY_KEY = "unitary_library_"
 
 class ConfigError(ValueError):
     """Bad command line or config file content; maps to exit code 2."""
-
-
-@dataclass
-class ExperimentConfig:
-    """One parsed and validated run description."""
-
-    mode: str
-    output_path: str
-    seed: int
-    K: int = 0
-    M: int = 0
-    l_s: int = 0
-    snr_db_list: list = field(default_factory=list)
-    trials: int = 0
-    unitary_library_paths: dict = field(default_factory=dict)
-    schemes: tuple = SCHEMES
-    pairs: int = 20
-    restarts: int = DEFAULT_RESTARTS
-    iterations: int = DEFAULT_ITERATIONS
 
 
 # ---------------------------------------------------------------------------
@@ -149,17 +134,19 @@ def _as_float(raw, key):
     return value
 
 
-def _as_float_list(raw, key):
-    items = [s.strip() for s in raw.split(",") if s.strip()]
+def _as_items(raw, key, of=""):
+    items = tuple(s.strip() for s in raw.split(",") if s.strip())
     if not items:
-        raise ConfigError(f"field {key!r} must be a non-empty list of reals")
-    return [_as_float(s, key) for s in items]
+        raise ConfigError(f"field {key!r} must be a non-empty list{of}")
+    return items
+
+
+def _as_float_list(raw, key):
+    return [_as_float(s, key) for s in _as_items(raw, key, " of reals")]
 
 
 def _as_schemes(raw, key):
-    items = tuple(s.strip() for s in raw.split(",") if s.strip())
-    if not items:
-        raise ConfigError(f"field {key!r} must be a non-empty list")
+    items = _as_items(raw, key)
     for name in items:
         if name not in SCHEMES:
             raise ConfigError(
@@ -173,34 +160,33 @@ def _as_schemes(raw, key):
 
 _COUNT = partial(_as_int, low=1)
 
-# Largest l_s: packing's per-step (N, N) arrays then hold at most 2^20
-# entries a restart (16 MiB as complex).
-_L_S_MAX = 10
-
 # Largest K: the SER path's per-substream (2048, K, K) complex arrays then
 # hold at most 2^20 entries each, the same 16 MiB (2048 K^2 <= 2^20).
 _K_MAX = 22
 
-# Every field: its parser, the modes that read it, and whether those modes
-# require it (optional ones keep their ExperimentConfig default).  A mode
-# rejects a field it does not read; `mode` itself is accepted everywhere.
-# The _LIBRARY_KEY entry stands for every unitary_library_<l_v> key, whose
-# l_v and path parse_config reads itself.
+# Every field: its parser, the modes that read it, and its default, or
+# REQUIRED where those modes require it.  A mode rejects a field it does not
+# read, and its parsed config carries only the fields it reads; `mode`
+# itself is accepted everywhere.  The _LIBRARY_KEY entry stands for every
+# unitary_library_<l_v> key, whose l_v and path parse_config reads itself
+# into unitary_library_paths.
+REQUIRED = object()
 _FIELDS = {
-    "K": (partial(_as_int, low=1, high=_K_MAX + 1), MODES, True),
-    "M": (_COUNT, ("ser-sweep", "kl-check"), True),
+    "K": (partial(_as_int, low=1, high=_K_MAX + 1), MODES, REQUIRED),
+    "M": (_COUNT, ("ser-sweep", "kl-check"), REQUIRED),
     "l_s": (
-        partial(_as_int, low=1, high=_L_S_MAX + 1), ("design", "ser-sweep", "pack-unitary"), True
+        partial(_as_int, low=1, high=_L_S_MAX + 1), ("design", "ser-sweep", "pack-unitary"),
+        REQUIRED,
     ),
-    "snr_db_list": (_as_float_list, ("design", "ser-sweep", "kl-check"), True),
-    "trials": (_COUNT, ("ser-sweep", "kl-check"), True),
-    "seed": (partial(_as_int, low=0, high=2**64), MODES, True),
-    "output_path": (lambda raw, key: raw, MODES, True),
-    "schemes": (_as_schemes, ("ser-sweep",), False),
-    "pairs": (_COUNT, ("kl-check",), False),
-    "restarts": (_COUNT, ("pack-unitary",), False),
-    "iterations": (_COUNT, ("pack-unitary",), False),
-    _LIBRARY_KEY: (None, ("design", "ser-sweep"), False),
+    "snr_db_list": (_as_float_list, ("design", "ser-sweep", "kl-check"), REQUIRED),
+    "trials": (_COUNT, ("ser-sweep", "kl-check"), REQUIRED),
+    "seed": (partial(_as_int, low=0, high=2**64), MODES, REQUIRED),
+    "output_path": (lambda raw, key: raw, MODES, REQUIRED),
+    "schemes": (_as_schemes, ("ser-sweep",), SCHEMES),
+    "pairs": (_COUNT, ("kl-check",), 20),
+    "restarts": (_COUNT, ("pack-unitary",), DEFAULT_RESTARTS),
+    "iterations": (_COUNT, ("pack-unitary",), DEFAULT_ITERATIONS),
+    _LIBRARY_KEY: (None, ("design", "ser-sweep"), None),
 }
 
 
@@ -208,7 +194,10 @@ def parse_config(path, mode):
     """Read and validate a config file for the given mode.
 
     The file is the one source of every value, the seed and the output
-    path included.  Raises ConfigError with the offending field named.
+    path included.  Returns a namespace of `mode` and the fields the mode
+    reads, parsed or defaulted, plus unitary_library_paths ({l_v: path})
+    for design and ser-sweep.  Raises ConfigError with the offending field
+    named.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; valid modes: {', '.join(MODES)}")
@@ -235,13 +224,14 @@ def parse_config(path, mode):
             raise ConfigError(f"fields {library_keys[l_v]!r} and {key!r} both name l_v = {l_v}")
         library_keys[l_v] = key
     library_paths = {l_v: raw.pop(key) for l_v, key in library_keys.items()}
-    for key, (_, modes, required) in _FIELDS.items():
-        if required and mode in modes and key not in raw:
+    fields = {key: row for key, row in _FIELDS.items() if mode in row[1]}
+    for key, (_, _, default) in fields.items():
+        if default is REQUIRED and key not in raw:
             raise ConfigError(f"missing required field {key!r} for mode {mode}")
-    parsed = {
-        key: parse(raw[key], key) for key, (parse, *_) in _FIELDS.items() if key in raw
-    }
-    cfg = ExperimentConfig(mode=mode, **parsed)
+    cfg = SimpleNamespace(mode=mode, **{
+        key: parse(raw[key], key) if key in raw else default
+        for key, (parse, _, default) in fields.items() if key != _LIBRARY_KEY
+    })
 
     if cfg.K == 1 and (
         mode in ("design", "pack-unitary")
@@ -257,7 +247,8 @@ def parse_config(path, mode):
             raise ConfigError(
                 f"field '{_LIBRARY_KEY}{l_v}' references a missing file: {lib_path}"
             )
-    cfg.unitary_library_paths = dict(sorted(library_paths.items()))
+    if _LIBRARY_KEY in fields:
+        cfg.unitary_library_paths = dict(sorted(library_paths.items()))
     return cfg
 
 
@@ -441,25 +432,14 @@ _RUNNERS = {
 }
 
 
-def run(cfg):
-    """Execute a parsed config; returns the process exit code.
-
-    The output file's directory is created here, once for the whole run,
-    before any file is written.  Config problems found while running raise
-    ConfigError; any other ValueError or ArithmeticError, and a MemoryError,
-    is a numeric failure.
-    """
-    out = Path(cfg.output_path)
-    if out.is_dir():
-        raise ConfigError(f"field 'output_path' names a directory: {out}")
-    try:
-        out.parent.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"field 'output_path': cannot create its directory: {exc}") from exc
-    return _RUNNERS[cfg.mode](cfg)
-
-
 def main(argv=None):
+    """Parse the command line and config, run the mode; returns the exit code.
+
+    The output file's directory is created once for the whole run, before
+    any file is written.  Config problems, found while parsing or running,
+    exit 2; any other ValueError or ArithmeticError, and a MemoryError, is a
+    numeric failure and exits 3.
+    """
     parser = argparse.ArgumentParser(
         prog="klconst",
         description="Design and evaluate multi-level non-coherent constellations.",
@@ -469,7 +449,14 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg = parse_config(args.config, args.mode)
-        return run(cfg)
+        out = Path(cfg.output_path)
+        if out.is_dir():
+            raise ConfigError(f"field 'output_path' names a directory: {out}")
+        try:
+            out.parent.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"field 'output_path': cannot create its directory: {exc}") from exc
+        return _RUNNERS[cfg.mode](cfg)
     except ConfigError as exc:
         print(f"klconst: config error: {exc}", file=sys.stderr)
         return 2

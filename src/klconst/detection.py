@@ -136,7 +136,7 @@ def detect_joint(Y, constellation, sigma2):
     q = _direction_scores(gram(Y), _score_weights(constellation.directions))
     coef, penalty = _level_terms(constellation, sigma2, Y.shape[-2])
     metric = coef[:, None] * q[..., None, :] - penalty[:, None]
-    flat = metric.reshape(*metric.shape[:-2], -1)
+    flat = metric.reshape(*metric.shape[:-2], metric.shape[-2] * metric.shape[-1])
     idx = np.argmax(flat, axis=-1).astype(np.int64)
     return int(idx) if Y.ndim == 2 else idx
 

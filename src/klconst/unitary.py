@@ -80,6 +80,11 @@ STEP_DECAY = 1.0 / 30.0
 DEFAULT_RESTARTS = 8
 DEFAULT_ITERATIONS = 1500
 
+# Largest direction-bit count a library packs (and the CLI's largest l_s):
+# packing's per-step (N, N) arrays then hold at most 2^20 entries a restart
+# (16 MiB as complex).
+_L_S_MAX = 10
+
 # K = 2 sizes whose lattice, climbed at DEFAULT_ITERATIONS, is tabulated
 # in _bloch_climbed
 _BLOCH_CLIMBED = (16, 32, 64)
@@ -288,9 +293,12 @@ def library_codebooks(K, l_vs, seed=0):
     the PackingConfig defaults (l_v = 0 is its canonical single vector) and
     a per-size seed derived from the given one (splitmix increment), so
     each size is reproducible on its own, whichever other sizes are asked
-    for.
+    for.  Every l_v is an integer from 0 to _L_S_MAX.
     """
     seed = _check_seed(seed)
+    l_vs = [_count(l_v, "l_vs entry", low=0) for l_v in l_vs]
+    if l_vs and max(l_vs) > _L_S_MAX:
+        raise ValueError(f"l_vs entry must be <= {_L_S_MAX}, got {max(l_vs)}")
     return {
         l_v: optimize_unitary(
             PackingConfig(K=K, cardinality=2**l_v, seed=(seed + l_v * 0x9E3779B97F4A7C15) % 2**64)

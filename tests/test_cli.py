@@ -107,6 +107,25 @@ class TestParseConfig:
             assert f"fields 'unitary_library_1' and '{other}' both name l_v = 1" in err
             assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize(
+        "mode,other", [("design", "M"), ("ser-sweep", "pairs"), ("kl-check", "l_s"),
+                       ("pack-unitary", "trials")],
+    )
+    def test_config_holds_only_its_modes_fields(self, tmp_path, mode, other):
+        # a mode's config carries `mode` and the fields the mode reads, so a
+        # runner reading another mode's field fails instead of reading 0
+        path = write_config(tmp_path, output_path="x", **BASE_FIELDS[mode])
+        cfg = parse_config(path, mode)
+        expected = {"mode"} | {
+            key for key, (_, modes, _) in klconst.cli._FIELDS.items()
+            if mode in modes and key != klconst.cli._LIBRARY_KEY
+        }
+        if mode in ("design", "ser-sweep"):
+            expected.add("unitary_library_paths")
+        assert set(vars(cfg)) == expected
+        with pytest.raises(AttributeError, match=other):
+            getattr(cfg, other)
+
     @pytest.mark.parametrize("flag", ["--seed", "--out"])
     def test_config_values_have_no_command_line_flag(self, tmp_path, design_cfg,
                                                      flag):

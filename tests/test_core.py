@@ -2,6 +2,7 @@
 
 import math
 import re
+import time
 import types
 
 import mpmath
@@ -128,6 +129,20 @@ def test_library_seed_is_checked(seed):
     # which would wrap an out-of-range one mod 2^64
     with pytest.raises(ValueError, match="seed must be"):
         klconst.library_codebooks(2, [0, 1], seed=seed)
+
+
+@pytest.mark.parametrize(
+    "l_vs,message",
+    [([40], "must be <= 10, got 40"), ([11], "must be <= 10, got 11"),
+     ([-1], "must be an integer >= 0, got -1"), ([1.5], "must be an integer >= 0, got 1.5")],
+)
+def test_library_sizes_are_checked(l_vs, message):
+    # every size is checked before any packing starts: 2^40 directions
+    # would otherwise start a packing that dies in a MemoryError
+    start = time.monotonic()
+    with pytest.raises(ValueError, match=f"^{re.escape('l_vs entry ' + message)}$"):
+        klconst.library_codebooks(2, [0, *l_vs])
+    assert time.monotonic() - start < 1.0
 
 
 @pytest.mark.parametrize(

@@ -136,6 +136,12 @@ class TestDetection:
         out = detect_joint(Y[0], designed_c2, 0.3)
         assert isinstance(out, int)
 
+    @pytest.mark.parametrize("detect", [detect_joint, detect_two_stage])
+    def test_empty_batch_gives_empty_indices(self, designed_c2, detect):
+        out = detect(np.ones((0, 2, 2)), designed_c2, 0.3)
+        assert out.dtype == np.int64
+        assert out.shape == (0,)
+
 
 class TestTies:
     def test_duplicated_direction_resolves_to_smallest_index(self, rng):
