@@ -13,7 +13,6 @@ the ordering is still unambiguous at low SNR.
 from klconst import (
     ChannelParams,
     MultiLevelConstellation,
-    PilotQamScheme,
     allocate_bits,
     estimate_ser,
     library_codebooks,
@@ -25,7 +24,6 @@ TRIALS = 20_000
 SEED = 99
 
 library = library_codebooks(K, range(L_S + 1), seed=0)
-scheme = PilotQamScheme(K, L_S)
 
 print(f"K={K}, M={M}, {L_S} bits per block, {TRIALS} trials per point")
 print("\n  SNR dB   multilevel (l_a)     unitary only         pilot + QAM")
@@ -35,7 +33,7 @@ for snr_db in (-2.0, 2.0, 6.0, 10.0):
     multi = estimate_ser(outcome.constellation, params, TRIALS, seed=SEED)
     one = MultiLevelConstellation([1.0], params.sigma2, library[L_S])
     uni = estimate_ser(one, params, TRIALS, seed=SEED)
-    pilot = pilot_qam_run(scheme, params, TRIALS, seed=SEED)
+    pilot = pilot_qam_run(L_S, params, TRIALS, seed=SEED)
     print(
         f"  {snr_db:6.1f}   {multi.ser:.4f} ({outcome.l_alpha})   "
         f"[{multi.ci95_low:.4f},{multi.ci95_high:.4f}]   {uni.ser:.4f} "

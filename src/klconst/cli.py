@@ -51,10 +51,11 @@ from .core import (
     FileFormatError,
     MultiLevelConstellation,
     _sigma2_at,
+    _streams,
     kl_full,
     save_constellation,
 )
-from .linksim import PilotQamScheme, _streams, estimate_ser, kl_mc_estimate, pilot_qam_run
+from .linksim import _pilot_layout, estimate_ser, kl_mc_estimate, pilot_qam_run
 from .multilevel import ALLOCATION_CSV_HEADER, allocate_bits
 from .unitary import (
     DEFAULT_ITERATIONS,
@@ -335,10 +336,10 @@ def run_design(cfg):
 
 
 def run_ser_sweep(cfg):
-    pilot = None
     if "pilot-qam" in cfg.schemes:
+        # a K/l_s pair with no pilot format fails before any packing
         try:
-            pilot = PilotQamScheme(cfg.K, cfg.l_s)
+            _pilot_layout(cfg.K, cfg.l_s)
         except ValueError as exc:
             raise ConfigError(f"fields 'K'/'l_s': {exc}") from exc
     if "multilevel" in cfg.schemes:
@@ -367,7 +368,7 @@ def run_ser_sweep(cfg):
                 est = estimate_ser(one_level, params, cfg.trials, cfg.seed)
                 l_alpha = "0"
             else:
-                est = pilot_qam_run(pilot, params, cfg.trials, cfg.seed)
+                est = pilot_qam_run(cfg.l_s, params, cfg.trials, cfg.seed)
                 l_alpha = ""
             lines.append(
                 f"{scheme},{cfg.K},{cfg.M},{cfg.l_s},{l_alpha},{_g(snr_db)},"

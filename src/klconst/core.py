@@ -25,8 +25,9 @@ maximizes the minimum of these distances over a constellation.
 This module holds the domain containers (channel parameters, direction
 sets, and constellations: amplitude levels times a direction set), the KL
 distance with its direction and energy terms, a brute-force minimum-KL
-scan, and the plain-text serialization format shared with the codebook
-loader.
+scan, the plain-text serialization format shared with the codebook
+loader, and the seeded Philox streams that the packer and the Monte-Carlo
+estimators draw from.
 """
 
 from __future__ import annotations
@@ -96,6 +97,30 @@ def _count(value, name, low=1):
     return int(value)
 
 
+def _check_seed(seed):
+    seed = _count(seed, "seed", low=0)
+    if seed >= 2**64:
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+    return seed
+
+
+def _streams(seed, keys):
+    """The Philox stream keyed (seed, k) for each k of keys in turn.
+
+    Yields one Generator per call, whose Philox is re-keyed before each k,
+    with a zero counter and empty buffers, so it draws what a Generator on
+    a fresh Philox with the uint64 key (seed, k) draws; a fresh Philox
+    would also build, and discard, a SeedSequence from OS entropy.  Draw
+    from each stream before taking the next.
+    """
+    rng = np.random.Generator(np.random.Philox(key=0))
+    state = rng.bit_generator.state
+    for k in keys:
+        state["state"]["key"][:] = seed, k
+        rng.bit_generator.state = state
+        yield rng
+
+
 def _pow2_bits(n, what):
     if n < 1 or (n & (n - 1)) != 0:
         raise ValueError(f"{what} must be a power of two, got {n}")
@@ -154,6 +179,11 @@ class ChannelParams:
     def from_snr_db(cls, M, K, snr_db):
         """Build parameters from an SNR in dB: sigma2 = 1/(K * 10^(dB/10))."""
         return cls(M=M, K=K, sigma2=_sigma2_at(K, snr_db))
+
+
+def _check_params(params):
+    if not isinstance(params, ChannelParams):
+        raise TypeError("params must be ChannelParams")
 
 
 def _block(x, name, K=None):

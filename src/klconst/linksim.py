@@ -65,17 +65,18 @@ import numpy as np
 
 from .core import (
     _CHUNK_ENTRIES,
-    ChannelParams,
     MultiLevelConstellation,
     _block,
+    _check_params,
+    _check_seed,
     _count,
+    _streams,
 )
 from .detection import _score_weights, _two_stage_gram, gram
 
 __all__ = [
     "SerEstimate",
     "KlMcEstimate",
-    "PilotQamScheme",
     "wilson_interval",
     "simulate_block",
     "estimate_ser",
@@ -129,66 +130,9 @@ class KlMcEstimate:
     seed: int
 
 
-@dataclass(frozen=True)
-class PilotQamScheme:
-    """Pilot-plus-QAM block format carrying total_bits over K - 1 data slots.
-
-    Every slot gets the same energy 1/K: the pilot amplitude is sqrt(1/K),
-    and each data slot carries total_bits / (K - 1) bits as one symbol of
-    the unit-energy square_qam_alphabet of that size, scaled by data_scale.
-    """
-
-    K: int
-    total_bits: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "K", _count(self.K, "K", low=2))
-        object.__setattr__(self, "total_bits", _count(self.total_bits, "total_bits"))
-        if self.total_bits % (self.K - 1):
-            raise ValueError(
-                f"invalid alphabet size: {self.total_bits} bits do not split "
-                f"evenly over {self.K - 1} data slots"
-            )
-        square_qam_alphabet(self.bits_per_data_symbol)  # rejects non-square sizes
-
-    @property
-    def bits_per_data_symbol(self):
-        return self.total_bits // (self.K - 1)
-
-    @property
-    def qam_alphabet(self):
-        return square_qam_alphabet(self.bits_per_data_symbol)
-
-    @property
-    def pilot_amplitude(self):
-        return math.sqrt(1.0 / self.K)
-
-    @property
-    def data_scale(self):
-        """Per-symbol amplitude scale putting the block energy at 1."""
-        return math.sqrt((1.0 - self.pilot_amplitude**2) / (self.K - 1))
-
-
 # ---------------------------------------------------------------------------
 # randomness plumbing
 # ---------------------------------------------------------------------------
-
-
-def _streams(seed, keys):
-    """The Philox stream keyed (seed, k) for each k of keys in turn.
-
-    Yields one Generator per call, whose Philox is re-keyed before each k,
-    with a zero counter and empty buffers, so it draws what a Generator on
-    a fresh Philox with the uint64 key (seed, k) draws; a fresh Philox
-    would also build, and discard, a SeedSequence from OS entropy.  Draw
-    from each stream before taking the next.
-    """
-    rng = np.random.Generator(np.random.Philox(key=0))
-    state = rng.bit_generator.state
-    for k in keys:
-        state["state"]["key"][:] = seed, k
-        rng.bit_generator.state = state
-        yield rng
 
 
 def _substreams(trials):
@@ -201,13 +145,6 @@ def _substreams(trials):
 def _complex_normal(rng, shape, scale=1.0):
     z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return z * (scale * math.sqrt(0.5))
-
-
-def _check_seed(seed):
-    seed = _count(seed, "seed", low=0)
-    if seed >= 2**64:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
-    return seed
 
 
 def wilson_interval(errors, trials):
@@ -276,8 +213,7 @@ def simulate_block(x, params, rng):
     -------
     numpy.ndarray, shape (M, K)
     """
-    if not isinstance(params, ChannelParams):
-        raise TypeError("params must be ChannelParams")
+    _check_params(params)
     x = _block(x, "x", params.K)
     h = _complex_normal(rng, params.M)
     noise = _complex_normal(rng, (params.M, params.K), scale=math.sqrt(params.sigma2))
@@ -315,6 +251,7 @@ def estimate_ser(c, params, trials, seed):
     """
     if not isinstance(c, MultiLevelConstellation):
         raise TypeError("c must be a MultiLevelConstellation")
+    _check_params(params)
     if c.K != params.K:
         raise ValueError(
             f"constellation block length {c.K} does not match params.K = {params.K}"
@@ -394,6 +331,7 @@ def kl_mc_estimate(x_i, x_k, params, samples, seed):
     KlMcEstimate
         Sample mean, standard error of the mean, sample count, seed.
     """
+    _check_params(params)
     x_i = _block(x_i, "x_i", params.K)
     x_k = _block(x_k, "x_k", params.K)
     samples = _count(samples, "samples")
@@ -476,29 +414,44 @@ def _qam_slicer(points):
     return slice_
 
 
-def pilot_qam_run(scheme, params, trials, seed):
-    """Block error rate of the pilot-based QAM baseline.
+def _pilot_layout(K, total_bits):
+    """(pilot amplitude, data points) of the pilot format carrying
+    total_bits over the K - 1 data slots of a K-symbol block.
 
-    Per trial: slot 0 carries the pilot, the receiver forms h_hat =
-    y_0 / pilot_amplitude, combines each data slot as
-    z_j = h_hat^H y_j / ||h_hat||^2, and slices z_j to the nearest scaled
-    alphabet point, per axis (_qam_slicer); any wrong symbol makes the
-    block an error.  The combiner equals z_j = pilot_amplitude G[0, j] /
-    G[0, 0], so each trial draws its data symbol indices and then the Gram
-    matrix G of its block from the complex Wishart law, in the order the
-    module docstring gives.
+    Every slot gets the same energy 1/K: the pilot amplitude is sqrt(1/K),
+    and each data slot carries total_bits / (K - 1) bits as one symbol of
+    the unit-energy square_qam_alphabet of that size, scaled to 1/K.
     """
-    if not isinstance(scheme, PilotQamScheme):
-        raise TypeError("scheme must be a PilotQamScheme")
-    if scheme.K != params.K:
+    K = _count(K, "K", low=2)
+    total_bits = _count(total_bits, "total_bits")
+    if total_bits % (K - 1):
         raise ValueError(
-            f"scheme block length {scheme.K} does not match params.K = {params.K}"
+            f"invalid alphabet size: {total_bits} bits do not split "
+            f"evenly over {K - 1} data slots"
         )
-    pilot = scheme.pilot_amplitude
-    points = scheme.data_scale * scheme.qam_alphabet
+    pilot = math.sqrt(1.0 / K)
+    scale = math.sqrt((1.0 - pilot**2) / (K - 1))
+    return pilot, scale * square_qam_alphabet(total_bits // (K - 1))
+
+
+def pilot_qam_run(total_bits, params, trials, seed):
+    """Block error rate of the pilot-based QAM baseline carrying total_bits
+    per block of params.K symbols, laid out by _pilot_layout: a pilot in
+    slot 0 and total_bits / (K - 1) bits of square QAM in each other slot.
+
+    Per trial: the receiver forms h_hat = y_0 / pilot_amplitude, combines
+    each data slot as z_j = h_hat^H y_j / ||h_hat||^2, and slices z_j to
+    the nearest scaled alphabet point, per axis (_qam_slicer); any wrong
+    symbol makes the block an error.  The combiner equals z_j =
+    pilot_amplitude G[0, j] / G[0, 0], so each trial draws its data symbol
+    indices and then the Gram matrix G of its block from the complex
+    Wishart law, in the order the module docstring gives.
+    """
+    _check_params(params)
+    pilot, points = _pilot_layout(params.K, total_bits)
     slice_ = _qam_slicer(points)
     return _block_errors(
-        params, trials, seed, points.size, scheme.K - 1,
+        params, trials, seed, points.size, params.K - 1,
         lambda sent: np.insert(points[sent], 0, pilot, axis=1),
         lambda G: slice_(pilot * G[:, 0, 1:] / G[:, 0, :1].real),
     )

@@ -49,14 +49,15 @@ import numpy as np
 from .core import (
     _CHUNK_ENTRIES,
     UnitarySet,
+    _check_seed,
     _count,
     _min_sq_chordal,
     _pow2_bits,
+    _streams,
     canonical_direction,
     read_layout,
     write_layout,
 )
-from .linksim import _check_seed, _streams
 
 __all__ = [
     "PackingConfig",

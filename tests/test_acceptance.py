@@ -16,7 +16,6 @@ from klconst import (
     ChannelParams,
     MultiLevelConstellation,
     PackingConfig,
-    PilotQamScheme,
     UnitarySet,
     allocate_bits,
     build_level_set,
@@ -253,7 +252,7 @@ def test_08_multilevel_beats_baselines(library_k2_ls6, capsys):
     multi = estimate_ser(outcome.constellation, params, trials, seed=808)
     one_level = MultiLevelConstellation([1.0], params.sigma2, library_k2_ls6[6])
     unitary = estimate_ser(one_level, params, trials, seed=808)
-    pilot = pilot_qam_run(PilotQamScheme(2, 6), params, trials, seed=808)
+    pilot = pilot_qam_run(6, params, trials, seed=808)
     dt = time.perf_counter() - t0
     separated = (
         multi.ci95_high < unitary.ci95_low and multi.ci95_high < pilot.ci95_low

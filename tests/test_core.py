@@ -1,9 +1,11 @@
 """Domain types, KL closed forms, and the text serialization."""
 
+import ast
 import math
 import re
 import time
 import types
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -85,6 +87,29 @@ def test_package_exports_every_public_attribute():
     assert named == set(klconst.__all__) - {"__version__"}
 
 
+def test_modules_import_only_lower_layers():
+    # every module's imports of its siblings, lazy ones included: core is
+    # the base, and the packer stands on core and its own K = 2 table
+    layers = {
+        "core": set(),
+        "_bloch_climbed": set(),
+        "detection": {"core"},
+        "linksim": {"core", "detection"},
+        "multilevel": {"core"},
+        "unitary": {"core", "_bloch_climbed"},
+        "cli": {"core", "linksim", "multilevel", "unitary"},
+        "__init__": {"core", "detection", "linksim", "multilevel", "unitary"},
+    }
+    found = {}
+    for path in Path(klconst.__file__).parent.glob("*.py"):
+        siblings = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                siblings |= {node.module} if node.module else {a.name for a in node.names}
+        found[path.stem] = siblings
+    assert found == layers
+
+
 def _count_cases():
     """(name, call) for each public entry taking a count, and each taking a
     seed: call(value) passes value as the argument named name, every other
@@ -96,8 +121,8 @@ def _count_cases():
     lib = klconst.library_codebooks(2, range(3))
     return {
         "estimate_ser": ("trials", lambda v: klconst.estimate_ser(c, params, v, 0)),
-        "pilot_qam_run": ("trials", lambda v: klconst.pilot_qam_run(
-            klconst.PilotQamScheme(2, 2), params, v, 0)),
+        "pilot_qam_run": ("trials", lambda v: klconst.pilot_qam_run(2, params, v, 0)),
+        "pilot_qam_run-bits": ("total_bits", lambda v: klconst.pilot_qam_run(v, params, 10, 0)),
         "kl_mc_estimate": ("samples", lambda v: klconst.kl_mc_estimate(s, s, params, v, 0)),
         "estimate_ser-seed": ("seed", lambda v: klconst.estimate_ser(c, params, 10, v)),
         "kl_mc_estimate-seed": ("seed", lambda v: klconst.kl_mc_estimate(s, s, params, 10, v)),

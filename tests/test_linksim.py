@@ -9,7 +9,6 @@ import pytest
 from klconst import (
     ChannelParams,
     MultiLevelConstellation,
-    PilotQamScheme,
     SerEstimate,
     UnitarySet,
     allocate_bits,
@@ -29,6 +28,7 @@ from klconst.detection import gram
 from klconst.linksim import (
     _gram_root,
     _log_ratio_law,
+    _pilot_layout,
     _qam_slicer,
     _streams,
     _substreams,
@@ -104,6 +104,23 @@ def a_formed_kl(x_i, x_k, params, samples, seed):
 def designed_c2():
     lib = library_codebooks(2, range(3), seed=0)
     return allocate_bits(2, 0.3, lib).constellation
+
+
+@pytest.mark.parametrize(
+    "entry", ["simulate_block", "estimate_ser", "kl_mc_estimate", "pilot_qam_run"]
+)
+def test_params_must_be_channel_params(entry, designed_c2):
+    # each Monte-Carlo entry names the type it wants before reading a field
+    s = canonical_direction(2)
+    call = {
+        "simulate_block": lambda p: simulate_block(s, p, philox(0)),
+        "estimate_ser": lambda p: estimate_ser(designed_c2, p, 10, seed=0),
+        "kl_mc_estimate": lambda p: kl_mc_estimate(s, s, p, 10, seed=0),
+        "pilot_qam_run": lambda p: pilot_qam_run(2, p, 10, seed=0),
+    }[entry]
+    call(ChannelParams(M=2, K=2, sigma2=0.5))
+    with pytest.raises(TypeError, match="^params must be ChannelParams$"):
+        call("M=2, K=2")
 
 
 class TestSimulateBlock:
@@ -393,34 +410,31 @@ class TestPilotQam:
         with pytest.raises(ValueError, match="invalid alphabet size"):
             square_qam_alphabet(3)
         with pytest.raises(ValueError, match="invalid alphabet size"):
-            PilotQamScheme(2, 3)
+            pilot_qam_run(3, ChannelParams(M=2, K=2, sigma2=0.5), 10, seed=0)
 
     def test_scheme_splits_energy_equally(self):
-        scheme = PilotQamScheme(2, 6)
-        assert scheme.bits_per_data_symbol == 6
-        assert scheme.pilot_amplitude == pytest.approx(math.sqrt(0.5), abs=1e-15)
-        block_energy = scheme.pilot_amplitude**2 + (
-            scheme.K - 1
-        ) * scheme.data_scale**2 * np.mean(np.abs(scheme.qam_alphabet) ** 2)
+        K = 2
+        pilot, points = _pilot_layout(K, 6)
+        assert points.size == 2**6
+        assert pilot == pytest.approx(math.sqrt(0.5), abs=1e-15)
+        block_energy = pilot**2 + (K - 1) * np.mean(np.abs(points) ** 2)
         assert block_energy == pytest.approx(1.0, abs=1e-9)
 
     def test_bits_must_split_evenly_over_data_slots(self):
         with pytest.raises(ValueError, match="invalid alphabet size"):
-            PilotQamScheme(3, 5)
+            pilot_qam_run(5, ChannelParams(M=2, K=3, sigma2=0.5), 10, seed=0)
 
     def test_low_noise_is_error_free(self):
-        scheme = PilotQamScheme(2, 4)
         params = ChannelParams(M=8, K=2, sigma2=1e-6)
-        est = pilot_qam_run(scheme, params, 2000, seed=4)
+        est = pilot_qam_run(4, params, 2000, seed=4)
         assert est.ser == 0.0
 
     def test_deterministic_and_monotone_in_snr(self):
-        scheme = PilotQamScheme(2, 2)
         sers = []
         for snr_db in (0.0, 14.0):
             params = ChannelParams.from_snr_db(M=8, K=2, snr_db=snr_db)
-            a = pilot_qam_run(scheme, params, 4000, seed=6)
-            b = pilot_qam_run(scheme, params, 4000, seed=6)
+            a = pilot_qam_run(2, params, 4000, seed=6)
+            b = pilot_qam_run(2, params, 4000, seed=6)
             assert a == b
             sers.append(a.ser)
         assert sers[0] > sers[1]
@@ -446,7 +460,8 @@ def exact_slice(z, points):
 
 class TestQamSlicer:
     @pytest.mark.parametrize("bits", [1, 2, 4, 6])
-    @pytest.mark.parametrize("scale", [1.0, PilotQamScheme(2, 2).data_scale])
+    # the data scale of the K = 2 pilot format: the +1 point of BPSK, scaled
+    @pytest.mark.parametrize("scale", [1.0, float(_pilot_layout(2, 1)[1][1].real)])
     def test_per_axis_equals_brute_force(self, bits, scale, rng):
         points = scale * square_qam_alphabet(bits)
         slice_ = _qam_slicer(points)
@@ -476,5 +491,5 @@ class TestQamSlicer:
     )
     def test_pinned_error_counts(self, K, total_bits, M, snr_db, seed, errors):
         params = ChannelParams.from_snr_db(M=M, K=K, snr_db=snr_db)
-        est = pilot_qam_run(PilotQamScheme(K, total_bits), params, 20000, seed)
+        est = pilot_qam_run(total_bits, params, 20000, seed)
         assert est.errors == errors
